@@ -33,6 +33,7 @@ import os
 import time
 
 import numpy as np
+import pyarrow as pa
 
 import ray
 
@@ -69,25 +70,35 @@ def _shard_slices(sg: ShardedGraph, dense: np.ndarray):
 
 
 def _resets_to_dense(sg: ShardedGraph, resets, n_queries: int) -> np.ndarray | None:
-    """Accept None (uniform), a dense (n, B) matrix, or a list of sparse
-    (vids, weights) pairs per query."""
+    """Accept None (uniform) or a dense (n, B) matrix."""
     if resets is None:
         return None
-    if isinstance(resets, np.ndarray):
-        if resets.ndim == 1:
-            resets = resets[:, None]
-        assert resets.shape == (sg.n_vertices, n_queries)
-        return resets.astype(np.float64)
-    dense = np.zeros((sg.n_vertices, n_queries))
-    for b, (vids, weights) in enumerate(resets):
-        # np.add.at, not assignment: duplicate vids in one seed list sum,
-        # matching the streaming path (ppr_init_sparse np.add.at)
-        np.add.at(
-            dense[:, b],
-            np.asarray(vids, dtype=np.int64),
-            np.asarray(weights, dtype=np.float64),
-        )
-    return dense
+    if resets.ndim == 1:
+        resets = resets[:, None]
+    assert resets.shape == (sg.n_vertices, n_queries)
+    return resets.astype(np.float64)
+
+
+def _reset_triples(resets) -> pa.Table:
+    """(vid, query_idx, weight) rows of a list of sparse (vids, weights)
+    pairs per query — nnz-sized, so a list reset takes the streaming
+    route (shard-routed triples, ``ppr_init_sparse`` np.add.at: duplicate
+    vids in one seed list sum) instead of an (n, B) matrix built on the
+    driver and shipped through the object store on every call."""
+    vids = [np.asarray(v, dtype=np.int64).ravel() for v, _ in resets]
+    weights = [
+        np.broadcast_to(np.asarray(w, dtype=np.float64), v.shape)
+        for v, (_, w) in zip(vids, resets)
+    ]
+    return pa.table(
+        {
+            "vid": np.concatenate([np.zeros(0, np.int64), *vids]),
+            "query_idx": np.repeat(
+                np.arange(len(vids), dtype=np.int64), [len(v) for v in vids]
+            ),
+            "weight": np.concatenate([np.zeros(0), *weights]),
+        }
+    )
 
 
 @ray.remote
@@ -356,6 +367,9 @@ def personalized_pagerank(
 ) -> tuple[np.ndarray | None, list[dict]]:
     """Run batched PPR; returns (scores (n, B) float64, per-iter metrics).
 
+    ``resets``: None (uniform), a dense (n, B) matrix, or a list of
+    per-query (vids, weights) pairs — the list form becomes sparse
+    triples and takes the ``reset_dataset`` route.
     ``reset_dataset``: a (vid, query_idx, weight) Dataset routed to the
     shards without driver materialization (the streaming reset path).
     ``collect=False`` skips assembling the dense score matrix on the
@@ -366,6 +380,8 @@ def personalized_pagerank(
         # answer a different query than the caller described (and the
         # dense path would also materialize the (n, B) matrix for nothing)
         raise ValueError("pass either resets or reset_dataset, not both")
+    if resets is not None and not isinstance(resets, np.ndarray):
+        reset_dataset, resets = [ray.put(_reset_triples(resets))], None
     dense = _resets_to_dense(sg, resets, n_queries)
 
     if reset_dataset is not None:
@@ -747,7 +763,10 @@ def coreness(
     (hub neighbor multisets travel as run-length COO partials, merged
     by the hub's owner).  Init is a two-phase degree collective:
     per-shard chunk-row degrees plus the cross-shard sum of per-hub
-    push-row counts (a hub's rows live on its neighbors' owners)."""
+    push-row counts (a hub's rows live on its neighbors' owners).
+    Degrees and neighbor multisets count distinct neighbors, so the
+    result is the simple-graph core number of ``coreness_oracle`` even
+    on adjacency with parallel records and self-loops."""
     hub_parts = ray.get([a.core_degree_partial.remote() for a in sg.actors])
     hub_deg = (
         np.sum(hub_parts, axis=0).astype(np.int64)

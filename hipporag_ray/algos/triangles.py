@@ -5,15 +5,20 @@ edge records (multiplicities, weights and self-loops ignored) — exact
 agreement with ``oracle.triangles_oracle``.
 
 Plan:
-1. canonicalize records to (a=min, b=max), distinct — a groupby
-   (shuffle) with per-batch pre-dedup;
+1. canonicalize records to the int64 pair code a*n + b (a=min, b=max,
+   self-loops dropped), distinct — a 1-D ``np.unique`` per batch, then
+   the int-key exchange across batches;
 2. orient each edge from the lower-(degree, vid) endpoint to the
    higher one — the standard degeneracy trick that bounds every
    forward-adjacency list by O(sqrt(m));
-3. broadcast the oriented CSR once via ``ray.put`` and count
-   |N+(u) ∩ N+(v)| per oriented edge in parallel ``map_batches``
-   tasks, emitting per-batch partial per-vertex counts;
-4. salted groupby-sum of the partials.
+3. build the oriented CSR once in a task from the distinct blocks
+   (forward lists sorted by vid) and broadcast it by reference; per
+   oriented edge (u, v), parallel tasks over slices of the edge list
+   merge-intersect N+(u) and N+(v) with the compiled ``tri_merge``
+   kernel (``state/native.py``); without the kernel a numpy fallback
+   expands the wedges (u, v, w ∈ N+(v)) and binary-searches (u, w) in
+   the sorted edge codes.  Each task returns a per-vertex count vector;
+4. sum of the per-task vectors on the driver.
 
 The broadcast index holds the *distinct simple edge set* (entity
 vocabulary graph), which is far smaller than the turn-level input; for
@@ -31,21 +36,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-
-def _canon(batch: pa.Table) -> pa.Table:
-    src = batch["src"].to_numpy(zero_copy_only=False)
-    dst = batch["dst"].to_numpy(zero_copy_only=False)
-    a = np.minimum(src, dst)
-    b = np.maximum(src, dst)
-    keep = a != b
-    # per-batch pre-dedup shrinks the shuffle
-    pairs = np.unique(np.stack([a[keep], b[keep]], axis=1), axis=0)
-    return pa.table(
-        {
-            "a": pa.array(pairs[:, 0], type=pa.int64()),
-            "b": pa.array(pairs[:, 1], type=pa.int64()),
-        }
-    )
+from ..state.native import native
 
 
 def triangle_count(
@@ -57,9 +48,10 @@ def triangle_count(
 
     Two physical plans over the same semantics:
 
-    * distinct simple edge set <= ``broadcast_limit``: broadcast the
-      oriented CSR once (``ray.put``) and count wedges per edge block
-      (the small-graph fast path below);
+    * distinct simple edge set <= ``broadcast_limit``: build the
+      oriented CSR once in a task, broadcast it by reference and
+      intersect forward lists per edge slice (the small-graph fast
+      path below);
     * larger: fully distributed bucketed wedge join — orient, expand
       forward-neighbor pairs per midpoint through the grouped hash
       exchange, semi-join the wedge codes against the oriented edge
@@ -83,13 +75,18 @@ def triangle_count(
     n0 = n_vertices
 
     def to_codes(batch: pa.Table) -> pa.Table:
-        t = _canon(batch)
-        a = t["a"].to_numpy(zero_copy_only=False)
-        b = t["b"].to_numpy(zero_copy_only=False)
+        src = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
+        dst = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
+        a = np.minimum(src, dst)
+        b = np.maximum(src, dst)
+        keep = a != b
+        # per-batch pre-dedup shrinks the shuffle; a 1-D unique on the
+        # int64 code is ~30x cheaper than a row-wise unique of (a, b)
+        code = np.unique(a[keep] * n0 + b[keep])
         return pa.table(
             {
-                "code": pa.array(a * n0 + b, type=pa.int64()),
-                "one": pa.array(np.ones(len(a), np.float64)),
+                "code": pa.array(code, type=pa.int64()),
+                "one": pa.array(np.ones(len(code), np.float64)),
             }
         )
 
@@ -102,93 +99,134 @@ def triangle_count(
             }
         )
 
-    distinct = (
-        int_key_sum(
-            edges.map_batches(to_codes, batch_format="pyarrow").materialize(),
-            "code",
-            "one",
-        )
-        .map_batches(from_codes, batch_format="pyarrow")
-        .materialize()
-    )
+    distinct = int_key_sum(
+        edges.map_batches(to_codes, batch_format="pyarrow").materialize(),
+        "code",
+        "one",
+    ).materialize()
     m = distinct.count()
     if m == 0:
         return 0, np.zeros(n_vertices, dtype=np.int64)
     if m > broadcast_limit:
-        return _triangle_count_distributed(distinct, n_vertices)
-    pairs = distinct.to_pandas()
-    a = pairs["a"].to_numpy(np.int64)
-    b = pairs["b"].to_numpy(np.int64)
+        return _triangle_count_distributed(
+            distinct.map_batches(from_codes, batch_format="pyarrow").materialize(),
+            n_vertices,
+        )
+    # the driver picks the counting path (HIPPORAG_RAY_NO_NATIVE or no
+    # compiler: numpy) and compiles or loads the kernel cache once, so
+    # the count tasks load the cached .so instead of racing compiles
+    use_kernel = native() is not None
+    # the CSR is built in a task straight from the distinct blocks and
+    # the count tasks return per-vertex vectors: the driver never copies
+    # an edge-sized array into or out of the object store
+    blocks = [b for bundle in distinct.iter_internal_ref_bundles() for b, _ in bundle.blocks]
+    csr_ref = _broadcast_csr.remote(n_vertices, *blocks)
+    # one task per slice of the oriented edge list so the O(m*sqrt(m))
+    # counting stage (the dominant cost) parallelizes
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    k = min(cpus, max(1, m // 4096))
+    cuts = [i * m // k for i in range(k + 1)]
+    parts = ray.get(
+        [
+            _count_slice.remote(csr_ref, cuts[i], cuts[i + 1], use_kernel)
+            for i in range(k)
+        ]
+    )
+    per_vertex = np.sum(parts, axis=0, dtype=np.int64)
+    total = int(per_vertex.sum()) // 3
+    return total, per_vertex
 
-    deg = np.bincount(a, minlength=n_vertices) + np.bincount(b, minlength=n_vertices)
-    # orient low (deg, vid) -> high (deg, vid)
-    rank = deg.astype(np.int64) * (n_vertices + 1)  # composite key (deg, vid)
-    rank = rank + np.arange(n_vertices, dtype=np.int64)
+
+@ray.remote
+def _broadcast_csr(n: int, *blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, adj) of the oriented CSR from the distinct pair-code
+    blocks of the int-key exchange."""
+    code = np.concatenate(
+        [np.zeros(0, np.int64)]
+        + [b["code"].to_numpy(zero_copy_only=False).astype(np.int64) for b in blocks]
+    )
+    _u, indptr, adj, _codes = _oriented_csr(code // n, code % n, n)
+    return indptr, adj
+
+
+@ray.remote
+def _count_slice(csr, e0: int, e1: int, use_kernel: bool) -> np.ndarray:
+    """Per-vertex triangle corners closed by the oriented edges
+    [e0, e1) of the broadcast CSR."""
+    indptr, adj = csr  # zero-copy views of the broadcast object
+    n = len(indptr) - 1
+    u = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    kern = native() if use_kernel else None
+    # the numpy fallback looks up (u, w) in the sorted edge codes
+    codes = u * n + adj if kern is None else None
+    return _count_forward(u[e0:e1], adj[e0:e1], indptr, adj, codes, kern)
+
+
+def _oriented_csr(
+    a: np.ndarray, b: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Orient the distinct simple edges (a, b) from the lower (degree,
+    vid) endpoint to the higher one; returns (u, indptr, v, codes) in
+    (u, v) order, so each forward list N+(u) = v[indptr[u]:indptr[u+1]]
+    is a vid-sorted run — what both the merge intersection and the code
+    search rely on — and codes = u*n + v is sorted."""
+    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    rank = deg.astype(np.int64) * (n + 1)  # composite key (deg, vid)
+    rank = rank + np.arange(n, dtype=np.int64)
     fwd = rank[a] < rank[b]
     u = np.where(fwd, a, b)
     v = np.where(fwd, b, a)
-
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
-    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.add.at(indptr, u + 1, 1)
-    indptr = np.cumsum(indptr)
-    # sorted edge codes for O(log m) membership of (u, w) pairs —
-    # already sorted: codes are monotone in the (u, v) lexsort above
-    codes = u.astype(np.int64) * n_vertices + v
-    csr_ref = ray.put((indptr, v, codes))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(u, minlength=n))
+    return u, indptr, v, u * n + v
 
-    # one table -> one block -> ONE map task; repartition so the
-    # O(m*sqrt(m)) wedge-count stage (the dominant cost) parallelizes
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    oriented = rd.from_arrow(
-        pa.table({"u": pa.array(u, type=pa.int64()), "v": pa.array(v, type=pa.int64())})
-    ).repartition(min(cpus, max(1, len(u) // 4096)))
 
-    def count_batch(batch: pa.Table) -> pa.Table:
-        """Fully vectorized wedge check: for each oriented edge (u, v),
-        expand v's forward neighborhood w ∈ N+(v) and test (u, w)
-        membership against the sorted global edge codes — one
-        searchsorted over the whole batch's wedges, then bincounts per
-        triangle corner."""
-        indptr_l, adj, sorted_codes = ray.get(csr_ref)  # zero-copy
-        bu = batch["u"].to_numpy(zero_copy_only=False)
-        bv = batch["v"].to_numpy(zero_copy_only=False)
-        n = len(indptr_l) - 1
-        deg_v = indptr_l[bv + 1] - indptr_l[bv]
-        if deg_v.sum() == 0:
-            return pa.table({"vid": pa.array([], pa.int64()), "cnt": pa.array([], pa.int64())})
-        # expand wedges: edge i contributes deg_v[i] (u, w) candidates
-        edge_rep = np.repeat(np.arange(len(bu)), deg_v)
-        # gather w = adj[indptr[v] + offset] with per-edge offsets
-        starts = indptr_l[bv]
-        offs = np.arange(len(edge_rep)) - np.repeat(
-            np.concatenate([[0], np.cumsum(deg_v)[:-1]]), deg_v
+def _count_forward(
+    bu: np.ndarray,
+    bv: np.ndarray,
+    indptr: np.ndarray,
+    adj: np.ndarray,
+    sorted_codes: np.ndarray | None,
+    kern=None,
+) -> np.ndarray:
+    """Per-vertex triangle corners (int64[n]) closed by the oriented
+    edges (bu, bv): every w in N+(u) ∩ N+(v) counts once at u, v and w.
+
+    ``kern`` (``native()``) merge-intersects the two vid-sorted forward
+    lists in one compiled pass.  The numpy fallback expands v's forward
+    list w ∈ N+(v) per edge and tests (u, w) membership with one
+    searchsorted over the whole batch's wedges against the sorted
+    global edge codes, then bincounts per triangle corner."""
+    n = len(indptr) - 1
+    if kern is not None:
+        acc = np.zeros(n, dtype=np.int64)
+        kern.tri_merge(
+            indptr, adj, np.ascontiguousarray(bu, np.int64),
+            np.ascontiguousarray(bv, np.int64), acc,
         )
-        w_arr = adj[starts[edge_rep] + offs]
-        cand = bu[edge_rep].astype(np.int64) * n + w_arr
-        pos = np.searchsorted(sorted_codes, cand)
-        pos[pos >= len(sorted_codes)] = len(sorted_codes) - 1
-        hit = sorted_codes[pos] == cand
-        # triangle corners: u and v of the wedge edge, and w
-        acc = np.bincount(bu[edge_rep[hit]], minlength=n).astype(np.int64)
-        acc += np.bincount(bv[edge_rep[hit]], minlength=n)
-        acc += np.bincount(w_arr[hit], minlength=n)
-        nz = np.nonzero(acc)[0]
-        return pa.table(
-            {
-                "vid": pa.array(nz, type=pa.int64()),
-                "cnt": pa.array(acc[nz], type=pa.int64()),
-            }
-        )
-
-    partials = oriented.map_batches(count_batch, batch_format="pyarrow")
-    agg = int_key_sum(partials, "vid", "cnt").to_pandas()
-    per_vertex = np.zeros(n_vertices, dtype=np.int64)
-    if len(agg):
-        per_vertex[agg["vid"].to_numpy(np.int64)] = agg["cnt"].to_numpy(np.int64)
-    total = int(per_vertex.sum()) // 3
-    return total, per_vertex
+        return acc
+    deg_v = indptr[bv + 1] - indptr[bv]
+    if deg_v.sum() == 0:
+        return np.zeros(n, dtype=np.int64)
+    # expand wedges: edge i contributes deg_v[i] (u, w) candidates
+    edge_rep = np.repeat(np.arange(len(bu)), deg_v)
+    # gather w = adj[indptr[v] + offset] with per-edge offsets
+    starts = indptr[bv]
+    offs = np.arange(len(edge_rep)) - np.repeat(
+        np.concatenate([[0], np.cumsum(deg_v)[:-1]]), deg_v
+    )
+    w_arr = adj[starts[edge_rep] + offs]
+    cand = bu[edge_rep].astype(np.int64) * n + w_arr
+    pos = np.searchsorted(sorted_codes, cand)
+    pos[pos >= len(sorted_codes)] = len(sorted_codes) - 1
+    hit = sorted_codes[pos] == cand
+    # triangle corners: u and v of the wedge edge, and w
+    acc = np.bincount(bu[edge_rep[hit]], minlength=n).astype(np.int64)
+    acc += np.bincount(bv[edge_rep[hit]], minlength=n)
+    acc += np.bincount(w_arr[hit], minlength=n)
+    return acc
 
 
 def _triangle_count_distributed(

@@ -91,36 +91,14 @@ def default_templates() -> dict[str, object]:
     return _DEFAULT_TEMPLATES_CACHE
 
 
-class _LazyTemplates(dict):
-    """Backwards-compatible DEFAULT_TEMPLATES name: materializes on
-    first real access."""
-
-    def _load(self):
-        if not self:
-            self.update(default_templates())
-
-    def __getitem__(self, k):
-        self._load()
-        return super().__getitem__(k)
-
-    def items(self):
-        self._load()
-        return super().items()
-
-    def keys(self):
-        self._load()
-        return super().keys()
-
-    def __iter__(self):
-        self._load()
-        return super().__iter__()
-
-    def __contains__(self, k):
-        self._load()
-        return super().__contains__(k)
-
-
-DEFAULT_TEMPLATES: dict[str, object] = _LazyTemplates()
+def __getattr__(name: str):
+    """``DEFAULT_TEMPLATES`` (the backwards-compatible name) is the
+    materialized default_templates() dict, loaded on first attribute
+    access (PEP 562) — a real dict, so ``.get``/``len``/``bool`` see
+    the templates from the start."""
+    if name == "DEFAULT_TEMPLATES":
+        return default_templates()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PromptTemplateManager:

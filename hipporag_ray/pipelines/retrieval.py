@@ -1383,10 +1383,13 @@ class HippoRagEngine:
         like the reference.
 
         Returns ``(solutions, responses, metadata)``; with
-        ``gold_docs`` alone additionally ``(overall_retrieval_result,)``
-        (the computed Recall@k must be reachable for retrieval-only
-        evaluation); with ``gold_answers`` additionally
-        ``(overall_retrieval_result, overall_qa_results)``.
+        ``gold_answers`` additionally ``(overall_retrieval_result,
+        overall_qa_results)`` — both as in the reference.  Extension:
+        with ``gold_docs`` alone the reference still returns its
+        3-tuple and only logs the Recall@k, while this engine returns
+        the 4-tuple ``(solutions, responses, metadata,
+        overall_retrieval_result)`` so retrieval-only evaluation can
+        read the score it computed.
         """
         from ..stages.evalops import qa_scores, recall_at_k
 
@@ -1417,9 +1420,9 @@ class HippoRagEngine:
 
         if gold_answers is None:
             if gold_docs is not None:
-                # retrieval-only evaluation: the Recall@k just computed
-                # must not be discarded (reference parity: scores are
-                # returned whenever golds were supplied)
+                # retrieval-only evaluation: return the Recall@k just
+                # computed (an extension — the reference returns the
+                # 3-tuple here and only logs the score)
                 return solutions, responses, metadata, overall_retrieval_result
             return solutions, responses, metadata
         qa_ds = rd.from_arrow(

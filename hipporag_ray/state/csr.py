@@ -251,6 +251,7 @@ class GraphShard:
         self.scores: np.ndarray | None = None  # (local_n, B) float64
         self.reset: np.ndarray | None = None  # (local_n, B) float64, normalized
         self.labels: np.ndarray | None = None  # (local_n,) int64
+        self._core_rows: list | None = None  # coreness pairs, built lazily
         # per-shard phase timers (seconds, cumulative; read+reset via
         # perf_counters) — cheap enough to keep always-on, and the only
         # way to see where an iteration's wall goes without a profiler
@@ -815,16 +816,43 @@ class GraphShard:
         of its owned range and return the per-hub push-row counts —
         summed across shards these are exactly the hubs' degrees (every
         hub edge (h, u) appears once as a push row (u, h) at u's
-        owner; hub own-side rows are dropped from the chunks)."""
-        self._core_chunk_deg = (
-            np.bincount(self._gown, minlength=self.local_n).astype(np.int64)
-            if len(self._gown)
-            else np.zeros(self.local_n, np.int64)
-        )
+        owner; hub own-side rows are dropped from the chunks).
+
+        Core numbers are those of the simple graph (``coreness_oracle``):
+        the degree and the h-index multisets count distinct (owner,
+        neighbour) pairs, never a parallel record (build_graph can
+        write several records per vertex pair) or a self-loop.  The distinct
+        pairs are built on the first call, not at shard load, so shards
+        that never run coreness do not pay for them."""
+        if self._core_rows is None:
+            self._build_core_pairs()
+        deg = np.zeros(self.local_n, np.int64)
+        for own, _other in self._core_rows:
+            deg += np.bincount(own, minlength=self.local_n)
+        self._core_chunk_deg = deg
+        return np.bincount(self._core_push[1], minlength=len(self.hubs)).astype(np.int64)
+
+    def _build_core_pairs(self) -> None:
+        """Per message chunk, the (own, chunk-local other) rows with
+        parallel records and self-loops dropped, and the hub-push rows
+        (own, hub index) likewise.  A pair's records all sit on its
+        owner's shard and in one chunk, so the dedup is local."""
+        cb = self._chunk_bounds
+        rows = []
+        for c, (e0, e1, _starts, _uniq) in enumerate(self._chunks):
+            own = self._gown[e0:e1]
+            other = self._gother_loc[e0:e1]
+            keep = own + self.lo != other + cb[c]
+            # rows are (own, other)-sorted within a chunk, so a parallel
+            # record sits right after its twin
+            keep[1:] &= (own[1:] != own[:-1]) | (other[1:] != other[:-1])
+            rows.append((own[keep], other[keep]))
+        self._core_rows = rows
         p_own, p_hub, _p_w = self._push
-        if len(p_own):
-            return np.bincount(p_hub, minlength=len(self.hubs)).astype(np.int64)
-        return np.zeros(len(self.hubs), np.int64)
+        keep = p_own + self.lo != self.hubs[p_hub]
+        p_own, p_hub = p_own[keep], p_hub[keep]
+        _, first = np.unique(p_hub * max(self.local_n, 1) + p_own, return_index=True)
+        self._core_push = (p_own[first], p_hub[first])
 
     def core_init(self, hub_deg: np.ndarray) -> None:
         deg = self._core_chunk_deg.copy()
@@ -844,7 +872,7 @@ class GraphShard:
     def core_msg(self):
         """(values, hub COO (hub_idx, value, count)): per-hub neighbor
         value multisets from my push rows, run-length compressed."""
-        p_own, p_hub, _p_w = self._push
+        p_own, p_hub = self._core_push
         if len(p_own):
             vals = self.labels[p_own]
             order = np.lexsort((vals, p_hub))
@@ -891,13 +919,10 @@ class GraphShard:
         all_own, all_val, all_cnt = [], [], []
         if len(self._gown):
             cb = self._chunk_bounds
-            for c, (e0, e1, _starts, _uniq) in enumerate(self._chunks):
-                if e1 == e0:
+            for c, (own_s, other_s) in enumerate(self._core_rows):
+                if len(own_s) == 0:
                     continue
-                own_s = self._gown[e0:e1]
-                val_s = global_vals[int(cb[c]) : int(cb[c + 1])][
-                    self._gother_loc[e0:e1]
-                ]
+                val_s = global_vals[int(cb[c]) : int(cb[c + 1])][other_s]
                 if dirty is not None:
                     m = dirty[own_s]
                     if not m.any():

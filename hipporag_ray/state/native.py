@@ -13,6 +13,14 @@ AND strictly tighter numerics than the float32 ``reduceat`` chain (no
 O(segment-length) float32 error growth, so no oversized-segment
 escalation is needed).
 
+Kernels in the one compiled source:
+
+* ``spmm_f32`` / ``spmm_f64`` — the PPR / PageRank segment-sum pull;
+* ``segmin_i64`` — the connected-components min-label pull;
+* ``tri_merge`` — triangle counting's per-edge merge intersection of
+  the two vid-sorted forward lists (``algos/triangles.py``), replacing
+  a numpy wedge expansion plus a binary search per wedge.
+
 This is an optional acceleration: the kernels are compiled once per
 node with the system C compiler into a content-addressed cache under
 /tmp (the tag covers source + compiler + machine + node name, so a
@@ -20,10 +28,11 @@ node with the system C compiler into a content-addressed cache under
 shared-TMPDIR cluster; the cache dir is created 0o700 and ownership-
 checked before any CDLL — /tmp is world-writable) and
 loaded via ctypes.  Any failure (no compiler, sandboxed /tmp, load
-error) silently falls back to the numpy path in ``csr.GraphShard``;
-set ``HIPPORAG_RAY_NO_NATIVE=1`` to force the fallback.  Results are
-allclose between paths (the compiled path is the more accurate one);
-a regression test pins both.
+error) silently falls back to the numpy path in ``csr.GraphShard``
+and ``triangles.triangle_count``; set ``HIPPORAG_RAY_NO_NATIVE=1`` to
+force the fallback.  Results are allclose between paths (the compiled
+path is the more accurate one; triangle counts are exact on both);
+regression tests pin both.
 """
 
 from __future__ import annotations
@@ -125,6 +134,54 @@ void segmin_i64(const int64_t *starts, const int64_t *uniq, int64_t nseg,
         nxt[uniq[s]] = lo;
     }
 }
+
+/* Forward-intersection triangle count: for each oriented edge (u, v)
+   of the batch, merge-intersect the vid-sorted forward lists
+   adj[indptr[u]:indptr[u+1]] and adj[indptr[v]:indptr[v+1]]; every
+   common w closes one triangle, counted once at its lowest-ranked edge
+   by the degree orientation, and bumps cnt at u, v and w.  Returns the
+   number of triangles found, or -1 (nothing written) if indptr is not
+   non-decreasing from >= 0 or a vid in adj or the batch is outside
+   [0, n) — every read and write then stays in bounds. */
+int64_t tri_merge(const int64_t *indptr, const int64_t *adj, int64_t n,
+                  const int64_t *bu, const int64_t *bv, int64_t m,
+                  int64_t *cnt) {
+    if (n > 0 && indptr[0] < 0)
+        return -1;
+    for (int64_t x = 0; x < n; x++)
+        if (indptr[x] > indptr[x + 1])
+            return -1;
+    for (int64_t k = 0; k < indptr[n]; k++)
+        if (adj[k] < 0 || adj[k] >= n)
+            return -1;
+    for (int64_t i = 0; i < m; i++)
+        if (bu[i] < 0 || bu[i] >= n || bv[i] < 0 || bv[i] >= n)
+            return -1;
+    int64_t total = 0;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t u = bu[i], v = bv[i];
+        int64_t a = indptr[u], ae = indptr[u + 1];
+        int64_t b = indptr[v], be = indptr[v + 1];
+        int64_t hits = 0;
+        while (a < ae && b < be) {
+            int64_t x = adj[a], y = adj[b];
+            if (x < y) {
+                a++;
+            } else if (x > y) {
+                b++;
+            } else {
+                cnt[x]++;
+                hits++;
+                a++;
+                b++;
+            }
+        }
+        cnt[u] += hits;
+        cnt[v] += hits;
+        total += hits;
+    }
+    return total;
+}
 """
 
 def _cache_dir() -> str:
@@ -170,6 +227,8 @@ class _Kernels:
         lib.segmin_i64.argtypes = [_i64p, _i64p, _I, _i64p, _I, _i64p, _i64p]
         for fn in (lib.spmm_f32, lib.spmm_f64, lib.segmin_i64):
             fn.restype = None
+        lib.tri_merge.argtypes = [_i64p, _i64p, _I, _i64p, _i64p, _I, _i64p]
+        lib.tri_merge.restype = _I
         self._lib = lib
 
     @staticmethod
@@ -250,6 +309,35 @@ class _Kernels:
             self._pp(other, _i64p), len(other),
             self._pp(msg, _i64p), self._pp(nxt, _i64p),
         )
+
+    def tri_merge(
+        self,
+        indptr: np.ndarray,
+        adj: np.ndarray,
+        bu: np.ndarray,
+        bv: np.ndarray,
+        cnt: np.ndarray,
+    ) -> int:
+        """cnt[u], cnt[v], cnt[w] += 1 for every w in N+(u) ∩ N+(v) over
+        the oriented edges (bu, bv); ``adj[indptr[x]:indptr[x+1]]`` is
+        x's forward list, sorted by vid.  Returns the triangle count."""
+        for a, name in ((indptr, "indptr"), (adj, "adj"), (bu, "bu"), (bv, "bv")):
+            self._check(a, np.int64, name)
+        self._check(cnt, np.int64, "cnt", writable=True)
+        if len(indptr) != len(cnt) + 1:
+            raise ValueError(f"indptr/cnt length mismatch: {len(indptr)} vs {len(cnt)} + 1")
+        if len(adj) != int(indptr[-1]):
+            raise ValueError(f"adj length {len(adj)} != indptr[-1] {int(indptr[-1])}")
+        if len(bu) != len(bv):
+            raise ValueError(f"bu/bv length mismatch: {len(bu)} vs {len(bv)}")
+        found = self._lib.tri_merge(
+            self._pp(indptr, _i64p), self._pp(adj, _i64p), len(cnt),
+            self._pp(bu, _i64p), self._pp(bv, _i64p), len(bu),
+            self._pp(cnt, _i64p),
+        )
+        if found < 0:
+            raise ValueError(f"tri_merge: indptr not monotone or a vid outside [0, {len(cnt)})")
+        return int(found)
 
 
 _cached: _Kernels | None | bool = False  # False = not attempted yet

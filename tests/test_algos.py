@@ -304,6 +304,30 @@ def test_ppr_duplicate_reset_vids_sum(graph):
         sg.shutdown()
 
 
+def test_ppr_list_resets_match_dense_and_reject_bad_vids(graph):
+    """A list reset takes the sparse triple route: scores are identical
+    to the same seeds given as a dense matrix (scalar weights broadcast,
+    an empty seed list falls back to uniform), and a seed vid outside
+    the graph raises instead of wrapping (a negative vid used to index
+    the dense matrix from the end and seed the wrong vertex)."""
+    g, _ = graph
+    n = g.n_vertices
+    queries = [(np.array([1, 4, 4]), np.array([0.5, 0.25, 0.25])), ([2, 3], 1.0), ([], [])]
+    dense = np.zeros((n, len(queries)))
+    for b, (vids, weights) in enumerate(queries):
+        np.add.at(dense[:, b], np.asarray(vids, np.int64), weights)
+    sg = ShardedGraph(g.adj_path, n, n_shards=2)
+    try:
+        got, _ = personalized_pagerank(sg, resets=queries, n_queries=len(queries))
+        want, _ = personalized_pagerank(sg, resets=dense, n_queries=len(queries))
+        np.testing.assert_array_equal(got, want)
+        for bad in ([-1], [n]):
+            with pytest.raises(Exception, match="reset vids outside"):
+                personalized_pagerank(sg, resets=[(bad, [1.0])], n_queries=1)
+    finally:
+        sg.shutdown()
+
+
 def test_oversized_segment_float64_path(graph, tmp_path, monkeypatch):
     """Segments longer than the pull chunk take the float64 escalation
     path (the high-degree-vertex branch).  Driven through PLAIN
@@ -557,6 +581,65 @@ def test_coreness_h_index_vs_peeling_oracle(tmp_path):
         try:
             if hub_min is not None:
                 assert len(sg.hubs), "hub path not exercised"
+            got, metrics = coreness(sg)
+            np.testing.assert_array_equal(got, want)
+            assert metrics[-1]["changed"] == 0
+        finally:
+            sg.shutdown()
+
+
+def test_coreness_built_graph_matches_oracle(graph, tmp_path):
+    """Regression: build_graph writes parallel records per fact pair, and
+    coreness counted each as a neighbor (core numbers above the oracle's).
+    Checked on the built adjacency plus self-loop records (twice each, on
+    a hub and on a non-hub), with a hub whose neighbors span shards and
+    with a chunk boundary inside the owned rows."""
+    from hipporag_ray.algos.iterate import coreness
+    from hipporag_ray.algos.oracle import coreness_oracle
+
+    g, e = graph
+    adj = pq.read_table(g.adj_path, columns=["src", "dst", "weight", "etype"])
+    src = adj["src"].to_numpy()
+    dst = adj["dst"].to_numpy()
+    a, b = np.minimum(src, dst), np.maximum(src, dst)
+    assert len(np.unique(a * g.n_vertices + b)) < len(src) // 2, "no parallel records"
+
+    deg = np.bincount(src, minlength=g.n_vertices)
+    hub_min = int(np.sort(deg)[-3])  # the top degrees become hubs
+    hub, plain = int(np.argmax(deg)), int(np.argmin(np.where(deg > 0, deg, deg.max() + 1)))
+    loops = pa.table(
+        {
+            "src": pa.array([hub, hub, plain, plain], adj.schema.field("src").type),
+            "dst": pa.array([hub, hub, plain, plain], adj.schema.field("dst").type),
+            "weight": pa.array([1.0] * 4, adj.schema.field("weight").type),
+            "etype": pa.array(["fact"] * 4, adj.schema.field("etype").type),
+        }
+    )
+    looped = pa.concat_tables([adj, loops]).sort_by("src")
+    adj_dir = tmp_path / "adj"
+    os.makedirs(adj_dir)
+    pq.write_table(looped, str(adj_dir / "part-0.parquet"))
+
+    all_src = np.concatenate([e["src"].to_numpy(), [hub, plain]])
+    all_dst = np.concatenate([e["dst"].to_numpy(), [hub, plain]])
+    want = coreness_oracle(g.n_vertices, all_src, all_dst)
+    np.testing.assert_array_equal(
+        want, coreness_oracle(g.n_vertices, e["src"].to_numpy(), e["dst"].to_numpy())
+    )
+    for path, n_shards, hubs, chunks in (
+        (g.adj_path, 2, None, None),
+        (str(adj_dir), 3, hub_min, None),
+        (str(adj_dir), 3, hub_min, 2),
+    ):
+        sg = ShardedGraph(
+            path, g.n_vertices, n_shards=n_shards, hub_min_degree=hubs, msg_chunks=chunks
+        )
+        try:
+            if hubs is not None:
+                assert hub in sg.hubs.tolist()
+                nbr = dst[src == hub]
+                owners = np.searchsorted(sg.bounds, nbr, side="right") - 1
+                assert len(np.unique(owners)) > 1, "hub not split across shards"
             got, metrics = coreness(sg)
             np.testing.assert_array_equal(got, want)
             assert metrics[-1]["changed"] == 0

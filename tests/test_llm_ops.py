@@ -607,6 +607,32 @@ def test_rag_qa_end_to_end(ray_session, tmp_path):
     eng.close()
 
 
+def test_rag_qa_return_shape(ray_session, tmp_path):
+    """rag_qa's return arity per gold argument: the reference's 3-tuple
+    without golds and its 5-tuple with gold answers; with gold docs
+    alone the engine extends the reference's 3-tuple with the Recall@k
+    it computed."""
+    from hipporag_ray.pipelines.retrieval import HippoRagEngine
+
+    sols = [
+        {"question": "q0", "docs": ["a", "b", "c"]},
+        {"question": "q1", "docs": ["d", "e", "f"]},
+    ]
+    gold_docs = [["a"], ["f"]]
+    reader = lambda m: "Answer: x"  # noqa: E731
+    eng = HippoRagEngine(working_dir=str(tmp_path / "wd"))
+    try:
+        assert len(eng.rag_qa(sols, llm_fn=reader)) == 3
+        out = eng.rag_qa(sols, gold_docs=gold_docs, llm_fn=reader)
+        assert len(out) == 4
+        assert out[3] == {"recall_1": 0.5, "recall_2": 0.5, "recall_5": 1.0}
+        out = eng.rag_qa(sols, gold_docs=gold_docs, gold_answers=[["x"], ["y"]], llm_fn=reader)
+        assert len(out) == 5
+        assert out[3]["recall_5"] == 1.0 and out[4]["em"] == 0.5
+    finally:
+        eng.close()
+
+
 def test_json_repair_oracle_fuzz_parity():
     """The doc_json_repair DuckDB oracle's closed form must match the
     general engine repair on random token streams — including the
@@ -745,3 +771,26 @@ def test_llm_infer_per_node_cache_shard(ray_session, tmp_path):
     node = ray.get_runtime_context().get_node_id()[:12]
     resolved = tmpl.replace("{node}", node)
     assert len(LLMCache(resolved)) == 2
+
+
+def test_default_templates_answers_before_first_index():
+    """On a fresh import, DEFAULT_TEMPLATES answers .get/len/bool with the
+    templates (the old lazy dict subclass read as empty until the first
+    [] access), and importing the module alone loads no prompt data."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import hipporag_ray.functions.prompts as p\n"
+        "assert p._DEFAULT_TEMPLATES_CACHE is None\n"
+        "from hipporag_ray.functions.prompts import DEFAULT_TEMPLATES as t\n"
+        "assert t.get('qa') is not None\n"
+        "assert bool(t) and len(t) == len(list(t.values())) > 2\n"
+        "assert t is p.default_templates()\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

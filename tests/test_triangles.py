@@ -8,9 +8,11 @@ import pytest
 
 import ray.data as rd
 
+from hipporag_ray.algos import triangles
 from hipporag_ray.algos.oracle import triangles_oracle
-from hipporag_ray.algos.triangles import triangle_count
+from hipporag_ray.algos.triangles import _count_forward, _oriented_csr, triangle_count
 from hipporag_ray.stages.graph_build import build_graph
+from hipporag_ray.state.native import native
 
 
 def _edges_ds(src, dst):
@@ -26,49 +28,59 @@ def _edges_ds(src, dst):
     )
 
 
-def test_triangle_small_known():
+def _both_paths(monkeypatch, ds, n, **kw):
+    """triangle_count on the compiled path, then with native() forced to
+    None on the driver (which picks the path for every count task)."""
+    out = [triangle_count(ds, n, **kw)]
+    with monkeypatch.context() as mp:
+        mp.setattr(triangles, "native", lambda: None)
+        out.append(triangle_count(ds, n, **kw))
+    return out
+
+
+def test_triangle_small_known(monkeypatch):
     # K4 has 4 triangles, each vertex in 3
     src, dst = [], []
     for i in range(4):
         for j in range(i + 1, 4):
             src.append(i)
             dst.append(j)
-    total, per = triangle_count(_edges_ds(src, dst), 4)
-    assert total == 4
-    assert per.tolist() == [3, 3, 3, 3]
+    for total, per in _both_paths(monkeypatch, _edges_ds(src, dst), 4):
+        assert total == 4
+        assert per.tolist() == [3, 3, 3, 3]
 
 
-def test_triangle_with_parallel_and_self_edges():
+def test_triangle_with_parallel_and_self_edges(monkeypatch):
     # duplicates/self-loops/both orientations must not change the count
     src = [0, 1, 0, 2, 1, 0, 3, 3]
     dst = [1, 0, 2, 0, 2, 0, 3, 0]
-    total, per = triangle_count(_edges_ds(src, dst), 4)
     want_total, want_per = triangles_oracle(4, np.array(src), np.array(dst))
-    assert total == want_total == 1
-    np.testing.assert_array_equal(per, want_per)
+    for total, per in _both_paths(monkeypatch, _edges_ds(src, dst), 4):
+        assert total == want_total == 1
+        np.testing.assert_array_equal(per, want_per)
 
 
-def test_triangle_random_vs_oracle():
+def test_triangle_random_vs_oracle(monkeypatch):
     rng = np.random.default_rng(3)
     n = 60
     m = 400
     src = rng.integers(0, n, m)
     dst = rng.integers(0, n, m)
-    total, per = triangle_count(_edges_ds(src, dst), n)
     want_total, want_per = triangles_oracle(n, src, dst)
-    assert total == want_total
-    np.testing.assert_array_equal(per, want_per)
+    for total, per in _both_paths(monkeypatch, _edges_ds(src, dst), n):
+        assert total == want_total
+        np.testing.assert_array_equal(per, want_per)
 
 
-def test_triangle_on_built_graph(small_transcripts, tmp_path):
+def test_triangle_on_built_graph(small_transcripts, tmp_path, monkeypatch):
     g = build_graph(rd.read_parquet(small_transcripts), str(tmp_path / "g"))
     e = g.edges().to_pandas()
-    total, per = triangle_count(g.edges(), g.n_vertices)
     want_total, want_per = triangles_oracle(
         g.n_vertices, e["src"].to_numpy(), e["dst"].to_numpy()
     )
-    assert total == want_total
-    np.testing.assert_array_equal(per, want_per)
+    for total, per in _both_paths(monkeypatch, g.edges(), g.n_vertices):
+        assert total == want_total
+        np.testing.assert_array_equal(per, want_per)
 
 
 @pytest.mark.parametrize("case", ["k4", "random"])
@@ -92,3 +104,129 @@ def test_triangle_distributed_wedge_join(case):
     want_total, want_per = triangles_oracle(n, np.asarray(src), np.asarray(dst))
     assert total == want_total
     np.testing.assert_array_equal(per, want_per)
+
+
+def _k4():
+    src = [i for i in range(4) for j in range(i + 1, 4)]
+    dst = [j for i in range(4) for j in range(i + 1, 4)]
+    return 4, np.array(src), np.array(dst)
+
+
+def _oriented(n, src, dst):
+    a, b = np.minimum(src, dst), np.maximum(src, dst)
+    code = np.unique(a[a != b] * n + b[a != b])
+    return _oriented_csr(code // n, code % n, n)
+
+
+def test_count_forward_kernel_matches_numpy_across_batch_split():
+    """In-process: the kernel and the numpy wedge check agree per batch,
+    and per-batch partials sum to the oracle when one vertex's forward
+    list is cut between two batches."""
+    rng = np.random.default_rng(17)
+    n = 120
+    src, dst = rng.integers(0, n, 1500), rng.integers(0, n, 1500)
+    want_total, want_per = triangles_oracle(n, src, dst)
+    u, indptr, v, codes = _oriented(n, src, dst)
+    # cut inside the longest forward list
+    x = int(np.argmax(np.diff(indptr)))
+    assert indptr[x + 1] - indptr[x] >= 2
+    cut = int(indptr[x] + (indptr[x + 1] - indptr[x]) // 2)
+    kern = native()
+    paths = [None] if kern is None else [None, kern]
+    for k in paths:
+        per = sum(
+            _count_forward(u[s], v[s], indptr, v, codes, k)
+            for s in (slice(0, cut), slice(cut, len(u)))
+        )
+        assert int(per.sum()) // 3 == want_total, k
+        np.testing.assert_array_equal(per, want_per)
+    if kern is None:
+        pytest.skip("no C compiler available — numpy fallback only")
+
+
+def test_triangle_forward_list_spans_count_blocks(monkeypatch):
+    """A dense graph whose oriented edge list splits into several count
+    slices (one task each), with every slice cut inside a forward list:
+    the per-slice partials must still sum exactly."""
+    import ray
+
+    rng = np.random.default_rng(0)
+    n = 160
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < 0.7
+    src, dst = iu[keep], ju[keep]
+    u, _indptr, _v, _codes = _oriented(n, src, dst)
+    # the count stage's slice count and cuts, as triangle_count sizes them
+    k = min(int(ray.cluster_resources()["CPU"]), len(u) // 4096)
+    assert k >= 2
+    for i in range(1, k):
+        cut = i * len(u) // k
+        assert u[cut - k] == u[cut + k], "slice cut between forward lists"
+    want_total, want_per = triangles_oracle(n, src, dst)
+    for total, per in _both_paths(monkeypatch, _edges_ds(src, dst), n):
+        assert total == want_total
+        np.testing.assert_array_equal(per, want_per)
+
+
+@pytest.mark.parametrize("broadcast_limit", [5_000_000, 0])
+def test_triangle_duplicate_pair_across_input_blocks(broadcast_limit, monkeypatch):
+    """The same pair in two input blocks (and both orientations) survives
+    each block's own unique; only the exchange makes it distinct.  A
+    leftover duplicate would double a forward-list entry and overcount."""
+    n, src, dst = _k4()
+    parts = [
+        (src, dst),
+        (dst[:3], src[:3]),  # (0,1), (0,2), (0,3) again, reversed
+        (src[:1], dst[:1]),
+    ]
+    ds = rd.from_arrow(
+        [
+            pa.table(
+                {
+                    "src": pa.array(s, type=pa.int64()),
+                    "dst": pa.array(d, type=pa.int64()),
+                }
+            )
+            for s, d in parts
+        ]
+    )
+    assert ds.materialize().num_blocks() == len(parts)
+    for total, per in _both_paths(monkeypatch, ds, n, broadcast_limit=broadcast_limit):
+        assert total == 4
+        assert per.tolist() == [3, 3, 3, 3]
+
+
+def test_tri_merge_guards():
+    """The typed kernel wrapper refuses wrong dtypes, non-contiguous
+    arrays, mismatched lengths and out-of-range vids instead of letting
+    the C loop read or write out of bounds."""
+    kern = native()
+    if kern is None:
+        pytest.skip("no C compiler available — numpy fallback only")
+    n, src, dst = _k4()
+    u, indptr, v, _codes = _oriented(n, src, dst)
+    cnt = np.zeros(n, np.int64)
+    assert kern.tri_merge(indptr, v, u, v, cnt) == 4
+    assert cnt.tolist() == [3, 3, 3, 3]
+    bad = [
+        (indptr, v, u.astype(np.int32), v, np.zeros(n, np.int64)),  # dtype
+        (indptr, v, u, v, np.zeros(n, np.float64)),  # cnt dtype
+        (indptr, v, np.repeat(u, 2)[::2], v, np.zeros(n, np.int64)),  # strided
+        (indptr, v, u, v[:-1], np.zeros(n, np.int64)),  # bu/bv lengths
+        (indptr, v, u, v, np.zeros(n + 1, np.int64)),  # indptr/cnt lengths
+        (indptr, v[:-1], u, v, np.zeros(n, np.int64)),  # adj vs indptr[-1]
+        (indptr, v, u + n, v, np.zeros(n, np.int64)),  # vid out of range
+        (indptr, v + n, u, v, np.zeros(n, np.int64)),  # adj vid out of range
+    ]
+    jump = indptr.copy()
+    jump[1] = len(v) + 5  # past adj, then back down: not monotone
+    neg = indptr.copy()
+    neg[0] = -1
+    bad += [(p, v, u, v, np.zeros(n, np.int64)) for p in (jump, neg)]
+    for args in bad:
+        with pytest.raises(ValueError):
+            kern.tri_merge(*args)
+    ro = np.zeros(n, np.int64)
+    ro.flags.writeable = False
+    with pytest.raises(ValueError):
+        kern.tri_merge(indptr, v, u, v, ro)
