@@ -15,7 +15,7 @@
 
 Owns its Ray session (``--num-cpus``); algorithm outputs are written as
 partitioned parquet under ``--out`` with per-iteration metrics when
-``--checkpoint-every`` is set.
+``--checkpoint-every`` is set (pagerank, cc, lp).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def _write_labels(out: str, vids, values, col: str):
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hipporag_ray")
     ap.add_argument("--num-cpus", type=int, default=None)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -107,7 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--graph", required=True)
         p.add_argument("--out")
-        p.add_argument("--checkpoint-every", type=int, default=0)
+        if name != "triangles":
+            p.add_argument("--checkpoint-every", type=int, default=0)
 
     p = sub.add_parser("ppr")
     p.add_argument("--graph", required=True)
@@ -165,8 +166,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--sf-dir", default="/root/testdata/sf0.001")
     p.add_argument("--out", default=None, help="write result parquet here")
     p.add_argument("--limit", type=int, default=10, help="rows to print")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.cmd == "synth":
         from hipporag_ray.synth import write_transcripts

@@ -24,6 +24,16 @@ Checkpoint/resume: with ``checkpoint_dir`` set, every
 iteration (per-partition lineage — a shard file missing ⇒ that
 iteration is ignored).  Per-iteration metrics (L1 delta, active
 queries, edges scanned, wall seconds) land in ``metrics.jsonl``.
+
+Every driver is ONE pipelined loop: it submits wave it+1 before reading
+wave it's result.  A save point is a checkpoint BARRIER — when the next
+wave would start past iteration ``it`` with ``it % checkpoint_every ==
+0``, the driver does not submit it, consumes the in-flight wave (so the
+saved active set / changed count is that wave's own, not lagged by a
+wave), saves the iteration-consistent shard state, restarts the wall
+clock and resumes pipelining.  A run whose last wave ends on a save
+point saves too.  Without ``checkpoint_dir``/``checkpoint_every`` no
+barrier fires and the submit/consume order is the plain pipeline's.
 """
 
 from __future__ import annotations
@@ -37,26 +47,7 @@ import pyarrow as pa
 
 import ray
 
-from ..state.csr import ShardedGraph, assemble_labels, assemble_ppr
-
-
-@ray.remote(num_cpus=0)
-def _assemble_ppr_task(pos, *msgs):
-    """One task per message CHUNK per iteration: merge a shard group's
-    contrib messages into that chunk's broadcast object (see
-    csr.assemble_ppr — k parallel group concats replaced the single
-    serial full-matrix assemble, whose O(n x B) wall was the Amdahl
-    term capping 8->32-CPU scaling; ``pos`` fuses the active-column
-    subset in, so consumer shards never re-subset).  num_cpus=0: the
-    shard pool reserves all-but-one core while its actors sit IDLE
-    waiting on exactly these memcpy tasks — a 1-CPU reservation would
-    serialize the k chunk assembles through the single headroom core."""
-    return assemble_ppr(msgs, pos)
-
-
-@ray.remote
-def _assemble_labels_task(*msgs):
-    return assemble_labels(msgs)
+from ..state.csr import ShardedGraph
 
 
 # ---------------------------------------------------------------------------
@@ -64,27 +55,28 @@ def _assemble_labels_task(*msgs):
 # ---------------------------------------------------------------------------
 
 
-def _shard_slices(sg: ShardedGraph, dense: np.ndarray):
-    for i in range(sg.n_shards):
-        yield dense[sg.bounds[i] : sg.bounds[i + 1]]
-
-
-def _resets_to_dense(sg: ShardedGraph, resets, n_queries: int) -> np.ndarray | None:
-    """Accept None (uniform) or a dense (n, B) matrix."""
-    if resets is None:
-        return None
-    if resets.ndim == 1:
-        resets = resets[:, None]
-    assert resets.shape == (sg.n_vertices, n_queries)
-    return resets.astype(np.float64)
-
-
-def _reset_triples(resets) -> pa.Table:
-    """(vid, query_idx, weight) rows of a list of sparse (vids, weights)
-    pairs per query — nnz-sized, so a list reset takes the streaming
-    route (shard-routed triples, ``ppr_init_sparse`` np.add.at: duplicate
-    vids in one seed list sum) instead of an (n, B) matrix built on the
-    driver and shipped through the object store on every call."""
+def _reset_triples(resets, n_vertices: int, n_queries: int) -> pa.Table:
+    """(vid, query_idx, weight) rows of a driver-side reset — nnz-sized,
+    so every reset form takes the one shard-routed route (``ppr_init``
+    np.add.at: duplicate vids in one seed list sum) instead of an (n, B)
+    matrix shipped through the object store on every call.  ``resets``
+    is a dense (n, B) matrix — (n,) when ``n_queries`` is 1 — or a list
+    of per-query (vids, weights) pairs."""
+    if isinstance(resets, np.ndarray):
+        dense = resets[:, None] if resets.ndim == 1 else resets
+        if dense.shape != (n_vertices, n_queries):
+            raise ValueError(
+                f"dense reset of shape {resets.shape} does not match "
+                f"(n_vertices, n_queries) = ({n_vertices}, {n_queries})"
+            )
+        vid, qidx = np.nonzero(dense)
+        return pa.table(
+            {
+                "vid": vid.astype(np.int64),
+                "query_idx": qidx.astype(np.int64),
+                "weight": dense[vid, qidx].astype(np.float64),
+            }
+        )
     vids = [np.asarray(v, dtype=np.int64).ravel() for v, _ in resets]
     weights = [
         np.broadcast_to(np.asarray(w, dtype=np.float64), v.shape)
@@ -118,7 +110,7 @@ def _route_reset_block(tbl, bounds: np.ndarray, k: int, n_queries: int | None = 
             f"(e.g. {vids[bad][:5].tolist()})"
         )
     # query_idx needs the same loud gate: a negative index (upstream
-    # join-miss sentinel) would WRAP in ppr_init_sparse's np.add.at,
+    # join-miss sentinel) would WRAP in ppr_init's np.add.at,
     # adding seed mass to the last query's column, and normalization
     # would mask the corruption; an overflow would die as an opaque
     # IndexError inside the shard actor
@@ -136,7 +128,7 @@ def _route_reset_block(tbl, bounds: np.ndarray, k: int, n_queries: int | None = 
         (vids[gb[t] : gb[t + 1]], qidx[gb[t] : gb[t + 1]], w[gb[t] : gb[t + 1]])
         for t in range(k)
     ]
-    return tuple(outs) if k > 1 else (outs[0],)
+    return tuple(outs) if k > 1 else outs[0]
 
 
 def route_reset_dataset(
@@ -165,44 +157,16 @@ def route_reset_dataset(
 
 
 def _wave_dispatch(sg: ShardedGraph, method: str, returns_per_shard: int, *args):
-    """Submit one iteration wave of ``method(*args)`` to every shard;
-    returns ``returns_per_shard`` lists of per-shard ObjectRefs, in
-    shard order.
-
-    When the pool packs several shards per host process
-    (``shards_per_host>1``), the wave goes out as ONE ``call_wave`` RPC
-    per HOST instead of one per shard: with the compiled pull kernel
-    the per-wave cost is dominated by the fixed per-task control-plane
-    cost (~0.65 ms/RPC — BASELINE.md wave-floor probe), so cutting the
-    submission count k-fold cuts the iteration floor k-fold while the
-    hosted shards still compute in parallel on the host's threads (the
-    kernels release the GIL).  Dedicated pools (1 shard/host) keep the
-    exact per-shard dispatch they had."""
-    groups = getattr(sg, "wave_groups", None)
-    if not groups or all(len(subs) == 1 for _, subs in groups):
-        if returns_per_shard == 1:
-            return [[getattr(a, method).remote(*args) for a in sg.actors]]
-        outs = [
-            getattr(a, method).options(num_returns=returns_per_shard).remote(*args)
-            for a in sg.actors
-        ]
-        return [[o[r] for o in outs] for r in range(returns_per_shard)]
-    P = len(sg.actors)
-    slots = [[None] * P for _ in range(returns_per_shard)]
-    for host, subs in groups:
-        k = returns_per_shard * len(subs)
-        if k == 1:
-            rets = [
-                host.call_wave.remote(list(subs), method, returns_per_shard, *args)
-            ]
-        else:
-            rets = host.call_wave.options(num_returns=k).remote(
-                list(subs), method, returns_per_shard, *args
-            )
-        for j, s in enumerate(subs):
-            for r in range(returns_per_shard):
-                slots[r][s] = rets[returns_per_shard * j + r]
-    return slots
+    """Submit one iteration wave of ``method(*args)`` — one actor call
+    per shard; returns ``returns_per_shard`` lists of per-shard
+    ObjectRefs, in shard order."""
+    if returns_per_shard == 1:
+        return [[getattr(a, method).remote(*args) for a in sg.actors]]
+    outs = [
+        getattr(a, method).options(num_returns=returns_per_shard).remote(*args)
+        for a in sg.actors
+    ]
+    return [[o[r] for o in outs] for r in range(returns_per_shard)]
 
 
 def scores_dataset(sg: ShardedGraph, query_idx: int = 0):
@@ -228,9 +192,12 @@ def labels_dataset(sg: ShardedGraph, col: str = "component"):
 
 
 class _Checkpointer:
-    def __init__(self, sg: ShardedGraph, ckpt_dir: str | None, algo: str, meta: dict):
+    def __init__(
+        self, sg: ShardedGraph, ckpt_dir: str | None, algo: str, meta: dict, every: int
+    ):
         self.sg = sg
         self.dir = ckpt_dir
+        self.every = every if ckpt_dir else 0
         if ckpt_dir:
             os.makedirs(ckpt_dir, exist_ok=True)
             self.manifest_path = os.path.join(ckpt_dir, "manifest.json")
@@ -275,6 +242,11 @@ class _Checkpointer:
             if manifest.get(key) != self.manifest.get(key):
                 return None
         return manifest
+
+    def is_save_point(self, it: int) -> bool:
+        """Whether the state after ``it`` completed iterations is saved
+        (the drivers drain the in-flight wave there — a barrier)."""
+        return bool(self.every) and it % self.every == 0
 
     def shard_path(self, it: int, shard: int) -> str:
         return os.path.join(self.dir, "state", f"iter={it:04d}", f"shard-{shard:05d}.parquet")
@@ -367,9 +339,10 @@ def personalized_pagerank(
 ) -> tuple[np.ndarray | None, list[dict]]:
     """Run batched PPR; returns (scores (n, B) float64, per-iter metrics).
 
-    ``resets``: None (uniform), a dense (n, B) matrix, or a list of
-    per-query (vids, weights) pairs — the list form becomes sparse
-    triples and takes the ``reset_dataset`` route.
+    ``resets``: None (uniform), a dense (n, B) matrix — (n,) when
+    ``n_queries`` is 1; any other shape raises ValueError — or a list of
+    per-query (vids, weights) pairs.  Both forms become sparse triples
+    on the driver and take the ``reset_dataset`` route.
     ``reset_dataset``: a (vid, query_idx, weight) Dataset routed to the
     shards without driver materialization (the streaming reset path).
     ``collect=False`` skips assembling the dense score matrix on the
@@ -377,29 +350,16 @@ def personalized_pagerank(
     ``scores_table`` instead."""
     if resets is not None and reset_dataset is not None:
         # conflicting seed specifications: silently preferring one would
-        # answer a different query than the caller described (and the
-        # dense path would also materialize the (n, B) matrix for nothing)
+        # answer a different query than the caller described
         raise ValueError("pass either resets or reset_dataset, not both")
-    if resets is not None and not isinstance(resets, np.ndarray):
-        reset_dataset, resets = [ray.put(_reset_triples(resets))], None
-    dense = _resets_to_dense(sg, resets, n_queries)
-
-    if reset_dataset is not None:
+    if resets is not None:
+        reset_dataset = [ray.put(_reset_triples(resets, sg.n_vertices, n_queries))]
+    if reset_dataset is None:
+        sums = ray.get([a.ppr_init.remote(n_queries) for a in sg.actors])
+    else:
         routed = route_reset_dataset(sg, reset_dataset, n_queries)
         sums = ray.get(
-            [
-                a.ppr_init_sparse.remote(n_queries, routed[t])
-                for t, a in enumerate(sg.actors)
-            ]
-        )
-    elif dense is None:
-        sums = ray.get([a.ppr_init.remote(None, n_queries) for a in sg.actors])
-    else:
-        sums = ray.get(
-            [
-                a.ppr_init.remote(sl, n_queries)
-                for a, sl in zip(sg.actors, _shard_slices(sg, dense))
-            ]
+            [a.ppr_init.remote(n_queries, *routed[t]) for t, a in enumerate(sg.actors)]
         )
     totals = np.sum(sums, axis=0)
     ray.get([a.ppr_normalize_reset.remote(totals) for a in sg.actors])
@@ -422,7 +382,7 @@ def personalized_pagerank(
 
         digests = ray.get([a.reset_digest.remote() for a in sg.actors])
         meta["reset_fp"] = hashlib.md5("".join(digests).encode()).hexdigest()[:16]
-    ck = _Checkpointer(sg, checkpoint_dir, "ppr", meta)
+    ck = _Checkpointer(sg, checkpoint_dir, "ppr", meta, checkpoint_every)
     start_iter = 0
     active = np.arange(n_queries)
     resumed = ck.latest_complete() if resume else None
@@ -451,8 +411,7 @@ def personalized_pagerank(
     # compiled kernel landed.  Each iteration is ONE fused actor wave
     # (ppr_step = pull + next contrib, bit-identical to separate
     # waves); only the prologue publishes a bare contrib wave.
-    groups = getattr(sg, "msg_groups", None) or [list(range(len(sg.actors)))]
-    assemblers = getattr(sg, "assemblers", None)
+    groups, assemblers = sg.msg_groups, sg.assemblers
 
     def _submit_wave(active_prev: np.ndarray, active_now: np.ndarray, msg_refs):
         """One fused actor wave: k chunk assembles over the published
@@ -470,19 +429,13 @@ def personalized_pagerank(
             if len(active_now) == len(active_prev)
             else np.searchsorted(active_prev, active_now)
         )
-        if assemblers:
-            # persistent zero-CPU assembler actors: plain tasks here
-            # re-spawned reaped idle workers mid-run (~1 s import cost
-            # surfacing as random 2-20x iteration-wall spikes)
-            chunk_refs = [
-                assemblers[c].assemble_ppr.remote(pos, *[msg_refs[i] for i in grp])
-                for c, grp in enumerate(groups)
-            ]
-        else:
-            chunk_refs = [
-                _assemble_ppr_task.remote(pos, *[msg_refs[i] for i in grp])
-                for grp in groups
-            ]
+        # persistent zero-CPU assembler actors: plain tasks here
+        # re-spawned reaped idle workers mid-run (~1 s import cost
+        # surfacing as random 2-20x iteration-wall spikes)
+        chunk_refs = [
+            assemblers[c].assemble_ppr.remote(pos, *[msg_refs[i] for i in grp])
+            for c, grp in enumerate(groups)
+        ]
         delta_refs, contrib_refs = _wave_dispatch(
             sg, "ppr_step", 2, damping, active_now, active_now, *chunk_refs
         )
@@ -511,65 +464,50 @@ def personalized_pagerank(
     # query whose delta crossed tol at wave it still iterates at wave
     # it+1 — one extra refinement toward the same fixpoint, so scores
     # can only move closer to convergence, and the scanned-work metrics
-    # count the real (slightly larger) scan.  Checkpointed runs stay
-    # SEQUENTIAL: a mid-run save must capture iteration-consistent shard
-    # state, and with a wave in flight the shards are already mutating.
-    pipelined = not (checkpoint_dir and checkpoint_every)
+    # count the real (slightly larger) scan.  Each iteration's wall_s is
+    # the delta-read-to-delta-read interval — the steady-state wave time
+    # INCLUDING the overlapped driver-side dispatch/intersect work.
+    # Save points are checkpoint barriers (see the module docstring).
     (msg_refs,) = _wave_dispatch(sg, "ppr_contrib", 1, damping, active)
     msg_active = active  # columns covered by msg_refs
-    if pipelined:
-        # metrics semantics in the pipelined loop: each iteration's
-        # wall_s is the delta-read-to-delta-read interval — the honest
-        # steady-state wave time INCLUDING the overlapped driver-side
-        # dispatch/intersect work (which is the point of pipelining);
-        # the sequential branch times submit->delta per wave instead
-        it = start_iter
-        in_flight = None  # (iter, active_used, delta_refs)
-        t_prev = None
-        while True:
-            if it < max_iter and len(active) > 0:
-                delta_refs, msg_refs = _submit_wave(msg_active, active, msg_refs)
-                if t_prev is None:
-                    # clock starts when the FIRST wave is in flight, so
-                    # iteration 0 does not absorb the pre-loop contrib
-                    # dispatch on top of its own
-                    t_prev = time.perf_counter()
-                new_flight = (it, active, delta_refs)
-                msg_active = active
-                it += 1
-            else:
-                new_flight = None
-            if in_flight is None and new_flight is None:
-                break
-            if in_flight is not None:
-                f_it, f_active, f_refs = in_flight
-                delta = np.sum(ray.get(f_refs), axis=0)
-                now = time.perf_counter()
-                _record(f_it, len(f_active), delta, now - t_prev)
-                t_prev = now
-                still = f_active[delta >= tol]
-                # future submissions iterate the intersection: columns
-                # not yet converged (per the lagged deltas) that the
-                # in-flight wave's messages still cover
-                active = (
-                    np.intersect1d(active, still, assume_unique=True)
-                    if new_flight is not None
-                    else still
-                )
-            in_flight = new_flight
-    else:
-        active_prev = active
-        for it in range(start_iter, max_iter):
-            if len(active) == 0:
-                break
-            t0 = time.perf_counter()
-            delta_refs, msg_refs = _submit_wave(active_prev, active, msg_refs)
-            delta = np.sum(ray.get(delta_refs), axis=0)
-            active_prev = active
-            _record(it, len(active), delta, time.perf_counter() - t0)
-            active = active[delta >= tol]
-            if checkpoint_every and (it + 1) % checkpoint_every == 0:
-                ck.save(it + 1, {"active": active.tolist(), "delta": float(delta.sum())})
+    it = start_iter
+    in_flight = None  # (iter, active_used, delta_refs)
+    t_prev = None
+    while True:
+        barrier = in_flight is not None and ck.is_save_point(it)
+        if it < max_iter and len(active) > 0 and not barrier:
+            delta_refs, msg_refs = _submit_wave(msg_active, active, msg_refs)
+            if t_prev is None:
+                # clock starts when the FIRST wave is in flight, so
+                # iteration 0 does not absorb the pre-loop contrib
+                # dispatch on top of its own
+                t_prev = time.perf_counter()
+            new_flight = (it, active, delta_refs)
+            msg_active = active
+            it += 1
+        else:
+            new_flight = None
+        if in_flight is None and new_flight is None:
+            break
+        if in_flight is not None:
+            f_it, f_active, f_refs = in_flight
+            delta = np.sum(ray.get(f_refs), axis=0)
+            now = time.perf_counter()
+            _record(f_it, len(f_active), delta, now - t_prev)
+            t_prev = now
+            still = f_active[delta >= tol]
+            # future submissions iterate the intersection: columns
+            # not yet converged (per the lagged deltas) that the
+            # in-flight wave's messages still cover
+            active = (
+                np.intersect1d(active, still, assume_unique=True)
+                if new_flight is not None
+                else still
+            )
+            if new_flight is None and ck.is_save_point(f_it + 1):
+                ck.save(f_it + 1, {"active": active.tolist(), "delta": float(delta.sum())})
+                t_prev = None  # the save is not wave time
+        in_flight = new_flight
 
     if not collect:
         return None, metrics
@@ -606,7 +544,9 @@ def _label_fixpoint(
     contract as PPR.  One definition so a fix to the loop (resume
     ordering, metrics truncation, cadence) cannot diverge between the
     two algorithms."""
-    ck = _Checkpointer(sg, checkpoint_dir, algo, {"max_iter": max_iter})
+    ck = _Checkpointer(
+        sg, checkpoint_dir, algo, {"max_iter": max_iter}, checkpoint_every
+    )
     start_iter = 0
     resumed = ck.latest_complete() if resume else None
     ray.get([getattr(a, init_attr).remote() for a in sg.actors])
@@ -624,16 +564,11 @@ def _label_fixpoint(
     # mirroring the PPR loop; the prologue publishes the initial labels
     (msg_refs,) = _wave_dispatch(sg, msg_attr, 1)
     step_attr = pull_attr.replace("_pull", "_step")
-    assemblers = getattr(sg, "assemblers", None)
 
     def _submit_wave(refs):
         # label messages are (n,) ints — no win from chunk parallelism,
         # but the persistent assembler actor avoids task-worker churn
-        assembled = (
-            assemblers[0].assemble_labels.remote(*refs)
-            if assemblers
-            else _assemble_labels_task.remote(*refs)
-        )
+        assembled = sg.assemblers[0].assemble_labels.remote(*refs)
         changed_refs, label_refs = _wave_dispatch(sg, step_attr, 2, assembled)
         return changed_refs, label_refs
 
@@ -648,45 +583,37 @@ def _label_fixpoint(
         metrics.append(rec)
         ck.metric(rec)
 
-    # same wave pipelining as the PPR loop: the driver stays one wave
-    # ahead of the changed-count consumption, so dispatch overlaps shard
-    # compute.  The fixpoint check lags one iteration — the extra
-    # in-flight wave runs on already-converged labels (idempotent pulls)
-    # and its scan is counted honestly.  Checkpointed runs stay
-    # sequential (mid-run saves need iteration-consistent shard state).
-    if not (checkpoint_dir and checkpoint_every):
-        it = start_iter
-        in_flight = None  # (iter, changed_refs)
-        done = False
-        t_prev = time.perf_counter()
-        while True:
-            if it < max_iter and not done:
-                changed_refs, msg_refs = _submit_wave(msg_refs)
-                new_flight = (it, changed_refs)
-                it += 1
-            else:
-                new_flight = None
-            if in_flight is None and new_flight is None:
-                break
-            if in_flight is not None:
-                f_it, f_refs = in_flight
-                changed = sum(ray.get(f_refs))
-                now = time.perf_counter()
-                _record(f_it, changed, now - t_prev)
-                t_prev = now
-                if changed == 0:
-                    done = True
-            in_flight = new_flight
-    else:
-        for it in range(start_iter, max_iter):
-            t0 = time.perf_counter()
+    # same wave pipelining and checkpoint barriers as the PPR loop: the
+    # driver stays one wave ahead of the changed-count consumption, so
+    # dispatch overlaps shard compute.  The fixpoint check lags one
+    # iteration — the extra in-flight wave runs on already-converged
+    # labels (idempotent pulls) and its scan is counted honestly.
+    it = start_iter
+    in_flight = None  # (iter, changed_refs)
+    done = False
+    t_prev = time.perf_counter()
+    while True:
+        barrier = in_flight is not None and ck.is_save_point(it)
+        if it < max_iter and not done and not barrier:
             changed_refs, msg_refs = _submit_wave(msg_refs)
-            changed = sum(ray.get(changed_refs))
-            _record(it, changed, time.perf_counter() - t0)
-            if checkpoint_every and (it + 1) % checkpoint_every == 0:
-                ck.save(it + 1, {"changed": int(changed)})
+            new_flight = (it, changed_refs)
+            it += 1
+        else:
+            new_flight = None
+        if in_flight is None and new_flight is None:
+            break
+        if in_flight is not None:
+            f_it, f_refs = in_flight
+            changed = sum(ray.get(f_refs))
+            now = time.perf_counter()
+            _record(f_it, changed, now - t_prev)
+            t_prev = now
             if changed == 0:
-                break
+                done = True
+            if new_flight is None and ck.is_save_point(f_it + 1):
+                ck.save(f_it + 1, {"changed": int(changed)})
+                t_prev = time.perf_counter()  # the save is not wave time
+        in_flight = new_flight
     if not collect:
         return None, metrics
     tables = ray.get([a.labels_table.remote(label_col) for a in sg.actors])

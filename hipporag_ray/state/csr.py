@@ -288,29 +288,20 @@ class GraphShard:
     # PPR / PageRank
     # ------------------------------------------------------------------
 
-    def ppr_init(self, reset_shard: np.ndarray | None, n_queries: int) -> np.ndarray:
-        """Set unnormalized reset slice ((local_n, B) or None=uniform);
-        returns local reset column sums for global normalization."""
+    def ppr_init(self, n_queries: int, *triples) -> np.ndarray:
+        """Set the unnormalized reset from shard-routed (vids, query_idx,
+        weight) triples — no dense (n, B) matrix ever exists on the
+        driver; duplicate entries sum (np.add.at).  No triples means a
+        uniform reset.  Returns local reset column sums for global
+        normalization."""
         b = n_queries
-        if reset_shard is None:
-            self.reset = np.ones((self.local_n, b), dtype=np.float64)
+        if triples:
+            self.reset = np.zeros((self.local_n, b), dtype=np.float64)
+            for vids, qidx, w in triples:
+                if len(vids):
+                    np.add.at(self.reset, (vids - self.lo, qidx), w)
         else:
-            self.reset = np.asarray(reset_shard, dtype=np.float64).reshape(self.local_n, b)
-        self.scores = np.full((self.local_n, b), 1.0 / max(self.n_vertices, 1))
-        return self.reset.sum(axis=0)
-
-    def ppr_init_sparse(self, n_queries: int, triple_refs: list) -> np.ndarray:
-        """Init from shard-routed sparse reset triples (vids, query_idx,
-        weight) — the streaming path: no dense (n, B) matrix ever exists
-        on the driver.  Returns local reset column sums."""
-        b = n_queries
-        self.reset = np.zeros((self.local_n, b), dtype=np.float64)
-        for trip in ray.get(list(triple_refs)):
-            if isinstance(trip, tuple) and len(trip) == 1:
-                trip = trip[0]
-            vids, qidx, w = trip
-            if len(vids):
-                np.add.at(self.reset, (vids - self.lo, qidx), w)
+            self.reset = np.ones((self.local_n, b), dtype=np.float64)
         self.scores = np.full((self.local_n, b), 1.0 / max(self.n_vertices, 1))
         return self.reset.sum(axis=0)
 
@@ -1069,118 +1060,7 @@ class _ChunkAssembler:
 ChunkAssemblerActor = ray.remote(num_cpus=0)(_ChunkAssembler)
 
 
-class GraphShardHost:
-    """One actor PROCESS hosting one or more GraphShard partitions.
-
-    Shard count wants to exceed the core count (2x oversharding keeps
-    broadcast message slices cache-resident and smooths stragglers) but
-    actor-process spawn is the measured cost of pool startup (~30-60 ms
-    per process serialized through the raylet: 63 actors ≈ 2 s of the
-    3.8 s sf0.1 shard_load) — and on a big cluster the total actor
-    count loads GCS.  ``shards_per_host>1`` packs k shards per process
-    (spawn count and control-plane registrations drop k-fold) while
-    shard addressing stays per-shard through :class:`ShardHandle`, so
-    the iteration drivers are unchanged.  The default is 1 — dedicated
-    processes measured ~12% faster on steady-state PPR (multi-shard
-    pull threads share the GIL for per-chunk Python overhead), and
-    iteration throughput is the north-star; see ShardedGraph."""
-
-    def __init__(
-        self, adj_path, shard_ids, bounds, n_vertices, hubs, precise,
-        msg_chunk_bounds=None,
-    ):
-        self.shards = {
-            int(i): GraphShard(
-                adj_path, int(i), bounds, n_vertices, hubs, precise,
-                msg_chunk_bounds=msg_chunk_bounds,
-            )
-            for i in shard_ids
-        }
-        # wave-coalescing pool (call_wave): hosted shards' step calls
-        # run on these threads inside ONE actor task — the compiled
-        # pull kernel (ctypes) and the large numpy kernels release the
-        # GIL, so hosted shards still compute in parallel
-        import concurrent.futures as _cf
-
-        self._wave_pool = _cf.ThreadPoolExecutor(
-            max_workers=max(1, len(self.shards))
-        )
-
-    def call(self, sub: int, method: str, *args, **kw):
-        return getattr(self.shards[sub], method)(*args, **kw)
-
-    def call_wave(self, subs: list, method: str, rps: int, *args, **kw):
-        """One RPC per host per iteration wave: run ``method`` on every
-        hosted shard in ``subs`` concurrently and return the outputs
-        flattened in ``subs`` order — ``rps`` (returns per shard) slots
-        each, so a per-shard tuple spreads across consecutive
-        ``num_returns`` positions (``rps`` is explicit because a
-        1-slot return may itself BE a tuple, e.g. ppr_contrib's
-        per-chunk message tuple).  The caller sets ``num_returns =
-        rps x len(subs)``, so the driver still sees per-shard
-        ObjectRefs — only the control-plane cost (task submissions,
-        arg serializations, queue hops) drops from one per SHARD to
-        one per HOST, which is the measured per-wave dispatch floor
-        once the pull kernel got cheap (BASELINE.md wave-floor
-        probe)."""
-        futs = [
-            self._wave_pool.submit(
-                getattr(self.shards[int(i)], method), *args, **kw
-            )
-            for i in subs
-        ]
-        flat: list = []
-        for f in futs:
-            out = f.result()
-            if rps == 1:
-                flat.append(out)
-            else:
-                flat.extend(out)
-        return tuple(flat) if len(flat) > 1 else flat[0]
-
-
-GraphShardHostActor = ray.remote(GraphShardHost)
-
-
-class _HostMethod:
-    __slots__ = ("_host", "_sub", "_name", "_opts")
-
-    def __init__(self, host, sub: int, name: str, opts: dict | None = None):
-        self._host = host
-        self._sub = sub
-        self._name = name
-        self._opts = opts
-
-    def options(self, **opts) -> "_HostMethod":
-        """Forward Ray call options (num_returns etc.) to the host's
-        ``call`` — keeps the per-shard facade a drop-in for a dedicated
-        actor handle."""
-        return _HostMethod(self._host, self._sub, self._name, opts)
-
-    def remote(self, *args, **kw):
-        call = self._host.call
-        if self._opts:
-            call = call.options(**self._opts)
-        return call.remote(self._sub, self._name, *args, **kw)
-
-
-class ShardHandle:
-    """Per-shard facade over a :class:`GraphShardHost` actor — quacks
-    like a dedicated actor handle (``h.method.remote(...)``), so every
-    driver loop addresses shards exactly as before.  Barrier safety is
-    inherited from actor FIFO order: drivers submit a full wave of
-    ``msg`` calls before any ``pull`` wave, so each host finishes every
-    hosted shard's msg before its first pull blocks on remote refs."""
-
-    __slots__ = ("_host", "_sub")
-
-    def __init__(self, host, sub: int):
-        self._host = host
-        self._sub = sub
-
-    def __getattr__(self, name: str) -> _HostMethod:
-        return _HostMethod(self._host, self._sub, name)
-
+GraphShardActor = ray.remote(GraphShard)
 
 
 # Shard-balance cost model: one vertex costs about this many edge
@@ -1379,7 +1259,6 @@ class ShardedGraph:
         max_hubs: int = 1024,
         precise: bool = False,
         bounds_stats_min_rows: int | None = None,
-        shards_per_host: int | None = None,
         msg_chunks: int | None = None,
     ):
         # warm the compiled-kernel cache on the driver first: the shard
@@ -1400,7 +1279,7 @@ class ShardedGraph:
             # ~12 shards: min(2 x cpus, max(cpus, 12)).  Single-box
             # tune: a real multi-node pool amortizes the dispatch floor
             # per node, so per-node 2x oversharding stays right there —
-            # pass n_shards/shards_per_host explicitly on a cluster.
+            # pass n_shards explicitly on a cluster.
             cpus = int(ray.cluster_resources().get("CPU", 8))
             target = min(2 * cpus, max(cpus, 12))
             n_shards = max(1, min(target, -(-n_vertices // min_shard_size)))
@@ -1424,17 +1303,14 @@ class ShardedGraph:
         # that capped 8->32-CPU scaling at ~0.5 once the compiled pull
         # kernel landed.  ~8 shards per chunk keeps the per-pull ref
         # fan-out at k x P << P x P (the measured borrower-storm
-        # regime).  Env override HIPPORAG_RAY_MSG_CHUNKS for tuning.
+        # regime).
         if msg_chunks is None:
-            env = os.environ.get("HIPPORAG_RAY_MSG_CHUNKS")
             # k=4 measured best at P=63 AND P=16 on the bench graph
             # (k=1: serial-assemble bound; k=8/16: ref fan-out and
             # chunk-view overheads outweigh the extra assemble
             # parallelism); tiny pools scale k down so a group is
             # never smaller than ~4 shards
-            msg_chunks = (
-                int(env) if env else min(4, max(1, n_shards // 4))
-            )
+            msg_chunks = min(4, max(1, n_shards // 4))
         k = max(1, min(int(msg_chunks), n_shards))
         targets = (np.arange(1, k) * n_vertices) // max(k, 1)
         cut_idx = np.unique(
@@ -1446,35 +1322,9 @@ class ShardedGraph:
             for i in range(len(group_edges) - 1)
         ]
         self.chunk_bounds = self.bounds[group_edges]
-        # host processes: ~one per core (spawn cost + control-plane load
-        # scale with PROCESS count, shard granularity with SHARD count —
-        # see GraphShardHost).  Strided shard->host assignment spreads
-        # any residual edge imbalance across hosts.
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        # default ONE shard per host process: interleaved A/B at sf0.1
-        # measured dedicated processes ~12% faster on steady-state PPR
-        # (median 1.37 vs 1.16 B edge-traversals/s — a multi-shard
-        # host's pull threads share a GIL for the per-chunk Python
-        # overhead) and the north-star metric is iteration throughput.
-        # shards_per_host>1 packs k shards per process: pool startup
-        # drops (63 actors ≈ 2 s of raylet-serialized spawn → ~1 s at
-        # 2/host) and control-plane actor count shrinks k-fold — the
-        # lever for frequent restart cycles (checkpoint-resume loops)
-        # or very high per-node shard counts, at the measured eps cost.
-        if shards_per_host is None:
-            shards_per_host = 1
-        n_hosts = max(1, -(-n_shards // max(1, shards_per_host)))
-        n_hosts = min(n_hosts, n_shards)
-        assign = [list(range(h, n_shards, n_hosts)) for h in range(n_hosts)]
-        # max_concurrency = hosted shard count: a strictly serial host
-        # loses the pull/gather overlap the per-shard processes had
-        # (measured -25% PPR throughput); threads restore it (the pull
-        # kernel is chunked numpy, GIL-releasing).  Barrier safety
-        # holds: threads >= hosted shards, so every hosted shard's msg
-        # task STARTS before any pull task can occupy all threads.
-        max_cc = max(len(ids) for ids in assign)
         # Reservation rules:
-        # * fractional when hosts outnumber cores — a pool that
+        # * fractional when shards outnumber cores — a pool that
         #   outsizes the cluster at num_cpus=1 deadlocks the loading
         #   barrier below;
         # * NEVER the whole cluster — dataset readbacks while the pool
@@ -1483,39 +1333,30 @@ class ShardedGraph:
         #   1.0-CPU Ray tasks, and a pool holding cpus/cpus CPUs
         #   starves them forever (observed: q_tx_pagerank deadlocked
         #   an 8-CPU session inside from_arrow_refs' metadata task
-        #   while 10 hosts held 10 x 0.8 CPUs).  Reservations don't
+        #   while 10 actors held 10 x 0.8 CPUs).  Reservations don't
         #   bind threads, so leaving one core of headroom costs no
         #   iteration throughput.
-        if n_hosts < cpus:
-            cpu_per_host = 1
+        if n_shards < cpus:
+            cpu_per_shard = 1
         else:
-            # (cpus - 1) split across hosts keeps the total reservation
+            # (cpus - 1) split across shards keeps the total reservation
             # STRICTLY below the cluster at every size — at cpus == 1
-            # this is zero (reservations don't bind threads, so hosts
+            # this is zero (reservations don't bind threads, so shards
             # still compute; the single core stays schedulable for the
             # default 1.0-CPU readback/routing tasks that would
             # otherwise deadlock behind a full reservation)
-            cpu_per_host = (cpus - 1) / n_hosts
-        self.cpu_per_host = cpu_per_host  # introspectable (tests assert headroom)
-        self._hosts = [
-            GraphShardHostActor.options(
-                num_cpus=cpu_per_host, max_concurrency=max_cc
-            ).remote(
-                adj_path, ids, self.bounds, n_vertices, self.hubs, precise,
-                self.chunk_bounds,
+            cpu_per_shard = (cpus - 1) / n_shards
+        self.cpu_per_shard = cpu_per_shard  # introspectable (tests assert headroom)
+        # one dedicated actor process per shard: packing several shards
+        # into one process measured ~12% slower on steady-state PPR at
+        # sf0.1 (the hosted shards' pull threads share a GIL for the
+        # per-chunk Python overhead)
+        self.actors = [
+            GraphShardActor.options(num_cpus=cpu_per_shard).remote(
+                adj_path, i, self.bounds, n_vertices, self.hubs, precise,
+                msg_chunk_bounds=self.chunk_bounds,
             )
-            for ids in assign
-        ]
-        by_shard: dict[int, ShardHandle] = {}
-        for host, ids in zip(self._hosts, assign):
-            for i in ids:
-                by_shard[i] = ShardHandle(host, i)
-        self.actors = [by_shard[i] for i in range(n_shards)]
-        # (host actor, hosted shard ids) pairs for coalesced wave
-        # dispatch (call_wave) — the iteration drivers use this to send
-        # ONE RPC per host per wave when shards are packed
-        self.wave_groups = [
-            (host, tuple(ids)) for host, ids in zip(self._hosts, assign)
+            for i in range(n_shards)
         ]
         # one persistent assembler per message chunk (see _ChunkAssembler)
         self.assemblers = [ChunkAssemblerActor.remote() for _ in self.msg_groups]
@@ -1531,10 +1372,7 @@ class ShardedGraph:
             ray.get([a.set_hub_out_weights.remote(totals) for a in self.actors])
 
     def shutdown(self) -> None:
-        for h in getattr(self, "_hosts", []):
-            ray.kill(h)
-        for a in getattr(self, "assemblers", []):
+        for a in self.actors + self.assemblers:
             ray.kill(a)
-        self._hosts = []
         self.actors = []
         self.assemblers = []

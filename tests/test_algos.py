@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -168,33 +169,97 @@ def test_cc_long_path_converges(tmp_path):
         sg.shutdown()
 
 
+def _early_column_resets(n):
+    """Two point seeds plus a uniform column: the uniform column (plain
+    PageRank) converges iterations before the point seeds, so the active
+    set shrinks mid-run."""
+    return [([0], [1.0]), ([1], [1.0]), (np.arange(n), 1.0)]
+
+
 def test_ppr_resume_bit_identical(graph, tmp_path):
     """Kill after iteration K, resume from checkpoint, compare final
-    scores vs uninterrupted — bit-identical (FIXTURES.md §3)."""
+    scores vs uninterrupted — bit-identical (FIXTURES.md §3).  K is the
+    first save point where the active set has already shrunk (one of
+    the three list-reset columns converged early), so the resumed run
+    restarts from a partial active set saved at a checkpoint barrier."""
     g, e = graph
+    resets = _early_column_resets(g.n_vertices)
+    kw = {"resets": resets, "n_queries": 3, "checkpoint_every": 2}
     ck1 = str(tmp_path / "ck_full")
     sg = ShardedGraph(g.adj_path, g.n_vertices, n_shards=3)
     try:
-        full, _ = personalized_pagerank(sg, n_queries=1, checkpoint_dir=ck1, checkpoint_every=2)
+        full, _ = personalized_pagerank(sg, checkpoint_dir=ck1, **kw)
     finally:
         sg.shutdown()
+    with open(os.path.join(ck1, "manifest.json")) as f:
+        saved = json.load(f)["iters"]
+    k = next(e["iter"] for e in saved if 0 < len(e["active"]) < 3)
 
     ck2 = str(tmp_path / "ck_resume")
     sg = ShardedGraph(g.adj_path, g.n_vertices, n_shards=3)
     try:
-        personalized_pagerank(
-            sg, n_queries=1, max_iter=4, checkpoint_dir=ck2, checkpoint_every=2
-        )
+        personalized_pagerank(sg, max_iter=k, checkpoint_dir=ck2, **kw)
     finally:
         sg.shutdown()
-    # fresh pool resumes from iter 4
+    # fresh pool resumes from iter k
     sg = ShardedGraph(g.adj_path, g.n_vertices, n_shards=3)
     try:
         resumed, metrics = personalized_pagerank(
-            sg, n_queries=1, checkpoint_dir=ck2, checkpoint_every=2, resume=True
+            sg, checkpoint_dir=ck2, resume=True, **kw
         )
-        assert metrics[0]["iter"] == 5  # continued, not restarted
+        assert metrics[0]["iter"] == k + 1  # continued, not restarted
+        assert metrics[0]["active_queries"] < 3
         np.testing.assert_array_equal(resumed, full)
+    finally:
+        sg.shutdown()
+
+
+def _ckpt_record(ck):
+    with open(os.path.join(ck, "manifest.json")) as f:
+        saved = [e["iter"] for e in json.load(f)["iters"]]
+    with open(os.path.join(ck, "metrics.jsonl")) as f:
+        logged = [json.loads(line)["iter"] for line in f]
+    return saved, logged
+
+
+def test_checkpoint_barriers_save_drained_waves(graph, tmp_path):
+    """Checkpointed runs pipeline like unchecked ones and drain the
+    in-flight wave at each save point: the manifest holds exactly the
+    save points up to the last iteration N, metrics.jsonl holds 1..N
+    once each, and the results match the unchecked run and the oracle.
+    Both inputs converge at an N that is not a save point, so the run
+    also ends between barriers."""
+    g, e = graph
+    src, dst, w = _edge_arrays(e)
+    n = g.n_vertices
+    resets = _early_column_resets(n)
+    sg = ShardedGraph(g.adj_path, n, n_shards=3)
+    try:
+        plain, _ = personalized_pagerank(sg, resets=resets, n_queries=3, damping=0.7)
+        ck = str(tmp_path / "ck_ppr")
+        got, metrics = personalized_pagerank(
+            sg, resets=resets, n_queries=3, damping=0.7,
+            checkpoint_dir=ck, checkpoint_every=3,
+        )
+        last = len(metrics)
+        assert last % 3 != 0
+        assert _ckpt_record(ck) == (list(range(3, last + 1, 3)), list(range(1, last + 1)))
+        assert [m["iter"] for m in metrics] == list(range(1, last + 1))
+        np.testing.assert_allclose(got, plain, atol=1e-6)
+        for b, (vids, weights) in enumerate(resets):
+            reset = np.zeros(n)
+            reset[vids] = weights
+            want = ppr_oracle(n, src, dst, w, reset=reset, damping=0.7)
+            np.testing.assert_allclose(got[:, b], want, atol=1e-6)
+
+        plain_cc, _ = connected_components(sg)
+        ck = str(tmp_path / "ck_cc")
+        comp, metrics = connected_components(sg, checkpoint_dir=ck, checkpoint_every=3)
+        last = len(metrics)
+        assert last % 3 != 0
+        assert _ckpt_record(ck) == (list(range(3, last + 1, 3)), list(range(1, last + 1)))
+        np.testing.assert_array_equal(comp, plain_cc)
+        np.testing.assert_array_equal(comp, cc_oracle(n, src, dst))
     finally:
         sg.shutdown()
 
@@ -328,6 +393,34 @@ def test_ppr_list_resets_match_dense_and_reject_bad_vids(graph):
         sg.shutdown()
 
 
+def test_ppr_dense_reset_validation(graph):
+    """A dense reset is checked on the driver with ValueError (not an
+    assert, which ``python -O`` strips): a wrong shape, or a 1-D reset
+    for several queries, raises.  A 1-D dense reset and the same seeds
+    as a list give bit-identical scores."""
+    g, _ = graph
+    n = g.n_vertices
+    sg = ShardedGraph(g.adj_path, n, n_shards=2)
+    try:
+        for bad, n_queries in (
+            (np.ones((n + 1, 1)), 1),
+            (np.ones((n, 3)), 2),
+            (np.ones((n, 1, 1)), 1),
+            (np.ones(n), 2),
+        ):
+            with pytest.raises(ValueError, match="dense reset"):
+                personalized_pagerank(sg, resets=bad, n_queries=n_queries)
+        vec = np.zeros(n)
+        vec[[2, 5]] = [0.75, 0.25]
+        got, _ = personalized_pagerank(sg, resets=vec, n_queries=1)
+        want, _ = personalized_pagerank(
+            sg, resets=[([2, 5], [0.75, 0.25])], n_queries=1
+        )
+        np.testing.assert_array_equal(got, want)
+    finally:
+        sg.shutdown()
+
+
 def test_oversized_segment_float64_path(graph, tmp_path, monkeypatch):
     """Segments longer than the pull chunk take the float64 escalation
     path (the high-degree-vertex branch).  Driven through PLAIN
@@ -347,7 +440,7 @@ def test_oversized_segment_float64_path(graph, tmp_path, monkeypatch):
     n = g.n_vertices
     bounds = np.array([0, n // 2, n], dtype=np.int64)
     shards = [GraphShard(g.adj_path, i, bounds, n, use_native=False) for i in range(2)]
-    sums = [s.ppr_init(None, 1) for s in shards]
+    sums = [s.ppr_init(1) for s in shards]
     totals = np.sum(sums, axis=0)
     for s in shards:
         s.ppr_normalize_reset(totals)
@@ -366,9 +459,10 @@ def _manual_ppr(shards, n_queries=2, iters=8, damping=0.5):
     rng = np.random.default_rng(7)
     n = shards[-1].hi
     dense = rng.random((n, n_queries))
-    sums = [
-        s.ppr_init(dense[s.lo : s.hi], n_queries) for s in shards
-    ]
+    sums = []
+    for s in shards:
+        vid, q = np.nonzero(dense[s.lo : s.hi])
+        sums.append(s.ppr_init(n_queries, (vid + s.lo, q, dense[vid + s.lo, q])))
     totals = np.sum(sums, axis=0)
     for s in shards:
         s.ppr_normalize_reset(totals)
@@ -485,7 +579,7 @@ def test_chunked_shard_accepts_single_assembled(graph):
         GraphShard(g.adj_path, i, bounds, n, msg_chunk_bounds=cb) for i in range(2)
     ]
     assert all(len(s._chunks) == 3 for s in shards)
-    sums = [s.ppr_init(None, 1) for s in shards]
+    sums = [s.ppr_init(1) for s in shards]
     totals = np.sum(sums, axis=0)
     for s in shards:
         s.ppr_normalize_reset(totals)
@@ -649,7 +743,7 @@ def test_coreness_built_graph_matches_oracle(graph, tmp_path):
 
 def test_reset_dataset_guards(graph):
     """Loud gates on streaming resets: a negative query_idx (upstream
-    join-miss sentinel) would WRAP in ppr_init_sparse's np.add.at and
+    join-miss sentinel) would WRAP in ppr_init's np.add.at and
     silently seed the wrong query; conflicting resets+reset_dataset
     would silently answer the dataset's query."""
     import pyarrow as pa

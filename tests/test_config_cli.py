@@ -26,6 +26,22 @@ def test_config_roundtrip_and_validation():
         c.damping = 0.1  # frozen
 
 
+def test_cli_checkpoint_every_only_for_iterative_commands(capsys):
+    """--checkpoint-every exists for pagerank/cc/lp only: triangles
+    never checkpoints, so the flag is an argparse error there instead
+    of being silently ignored."""
+    from hipporag_ray.__main__ import _parser
+
+    ap = _parser()
+    with pytest.raises(SystemExit) as exc:
+        ap.parse_args(["triangles", "--graph", "g", "--checkpoint-every", "2"])
+    assert exc.value.code == 2
+    assert "--checkpoint-every" in capsys.readouterr().err
+    for cmd in ("pagerank", "cc", "lp"):
+        args = ap.parse_args([cmd, "--graph", "g", "--checkpoint-every", "2"])
+        assert args.checkpoint_every == 2
+
+
 def test_engine_from_config(tmp_path):
     from hipporag_ray.pipelines.retrieval import HippoRagEngine
 
