@@ -16,17 +16,21 @@ Semantics contracts:
   label; exact (component id = min member vid).
 * ``label_propagation`` — synchronous weighted max-vote, tie-break
   smallest label, capped iterations.
+* ``coreness`` — synchronous h-index iteration to the core numbers.
 
 Checkpoint/resume: with ``checkpoint_dir`` set, every
 ``checkpoint_every`` iterations each shard writes its state partition
 (atomic tmp+rename) and the driver appends a lineage entry to
 ``manifest.json``; ``resume=True`` restarts from the latest complete
 iteration (per-partition lineage — a shard file missing ⇒ that
-iteration is ignored).  Per-iteration metrics (L1 delta, active
-queries, edges scanned, wall seconds) land in ``metrics.jsonl``.
+iteration is ignored).  ``checkpoint_every`` or ``resume`` without a
+``checkpoint_dir`` raises ValueError.  Per-iteration metrics (L1 delta
+or changed count, active queries, edges scanned, wall seconds) land in
+``metrics.jsonl``.
 
-Every driver is ONE pipelined loop: it submits wave it+1 before reading
-wave it's result.  A save point is a checkpoint BARRIER — when the next
+Every algorithm runs the ONE pipelined superstep loop (``_superstep``)
+over ``GraphShard.step``; it submits wave it+1 before reading wave it's
+result.  A save point is a checkpoint BARRIER — when the next
 wave would start past iteration ``it`` with ``it % checkpoint_every ==
 0``, the driver does not submit it, consumes the in-flight wave (so the
 saved active set / changed count is that wave's own, not lagged by a
@@ -61,7 +65,7 @@ def _reset_triples(resets, n_vertices: int, n_queries: int) -> pa.Table:
     np.add.at: duplicate vids in one seed list sum) instead of an (n, B)
     matrix shipped through the object store on every call.  ``resets``
     is a dense (n, B) matrix — (n,) when ``n_queries`` is 1 — or a list
-    of per-query (vids, weights) pairs."""
+    of ``n_queries`` per-query (vids, weights) pairs."""
     if isinstance(resets, np.ndarray):
         dense = resets[:, None] if resets.ndim == 1 else resets
         if dense.shape != (n_vertices, n_queries):
@@ -77,6 +81,10 @@ def _reset_triples(resets, n_vertices: int, n_queries: int) -> pa.Table:
                 "weight": dense[vid, qidx].astype(np.float64),
             }
         )
+    if len(resets) != n_queries:
+        # a short list would leave all-zero columns (normalized to
+        # uniform PageRank); a long one dies on an opaque range error
+        raise ValueError(f"{len(resets)} list resets for n_queries={n_queries}")
     vids = [np.asarray(v, dtype=np.int64).ravel() for v, _ in resets]
     weights = [
         np.broadcast_to(np.asarray(w, dtype=np.float64), v.shape)
@@ -156,19 +164,6 @@ def route_reset_dataset(
     return [[per_block[i][t] for i in range(len(refs))] for t in range(P)]
 
 
-def _wave_dispatch(sg: ShardedGraph, method: str, returns_per_shard: int, *args):
-    """Submit one iteration wave of ``method(*args)`` — one actor call
-    per shard; returns ``returns_per_shard`` lists of per-shard
-    ObjectRefs, in shard order."""
-    if returns_per_shard == 1:
-        return [[getattr(a, method).remote(*args) for a in sg.actors]]
-    outs = [
-        getattr(a, method).options(num_returns=returns_per_shard).remote(*args)
-        for a in sg.actors
-    ]
-    return [[o[r] for o in outs] for r in range(returns_per_shard)]
-
-
 def scores_dataset(sg: ShardedGraph, query_idx: int = 0):
     """(vid, score) Dataset assembled from the per-shard score tables —
     the dense (n, B) driver matrix never exists.  Blocks are actor-task
@@ -197,7 +192,7 @@ class _Checkpointer:
     ):
         self.sg = sg
         self.dir = ckpt_dir
-        self.every = every if ckpt_dir else 0
+        self.every = every
         if ckpt_dir:
             os.makedirs(ckpt_dir, exist_ok=True)
             self.manifest_path = os.path.join(ckpt_dir, "manifest.json")
@@ -222,7 +217,7 @@ class _Checkpointer:
     def _load_matching_manifest(self) -> dict | None:
         """The on-disk manifest, or None if absent / lineage-mismatched
         (different algo, input, or partitioning)."""
-        if not self.dir or not os.path.exists(self.manifest_path):
+        if not os.path.exists(self.manifest_path):
             return None
         with open(self.manifest_path) as f:
             manifest = json.load(f)
@@ -245,15 +240,13 @@ class _Checkpointer:
 
     def is_save_point(self, it: int) -> bool:
         """Whether the state after ``it`` completed iterations is saved
-        (the drivers drain the in-flight wave there — a barrier)."""
+        (the driver drains the in-flight wave there — a barrier)."""
         return bool(self.every) and it % self.every == 0
 
     def shard_path(self, it: int, shard: int) -> str:
         return os.path.join(self.dir, "state", f"iter={it:04d}", f"shard-{shard:05d}.parquet")
 
     def save(self, it: int, extra: dict) -> None:
-        if not self.dir:
-            return
         ray.get(
             [
                 a.save_state.remote(self.shard_path(it, i))
@@ -320,8 +313,162 @@ class _Checkpointer:
 
 
 # ---------------------------------------------------------------------------
+# the superstep loop
+# ---------------------------------------------------------------------------
+
+
+def _superstep(
+    sg: ShardedGraph,
+    prog,
+    max_iter: int,
+    checkpoint_dir: str | None,
+    checkpoint_every: int,
+    resume: bool,
+    collect: bool,
+) -> tuple[np.ndarray | None, list[dict]]:
+    """The one driver loop of every shard algorithm (message -> combine
+    -> update, as in Pregelix): a prologue ``GraphShard.message`` wave,
+    then one ``GraphShard.step`` wave per iteration until ``prog``
+    converges or ``max_iter``.  Returns (``prog.collect()`` or None,
+    metrics).  ``prog`` (``_PPR``, ``_Labels``) gives the step ``kind``,
+    the lineage ``meta``, the checkpointed score columns ``n_queries``,
+    ``restore`` (resumed manifest entry or None -> converged), the next
+    wave's ``params``, the ``assemble`` call, ``consume`` (one wave's
+    outputs -> record, converged, save fields; ``draining`` when no
+    later wave is in flight) and ``collect``.
+
+    The driver runs one wave AHEAD of consumption, so driver-side
+    dispatch (~20-25 ms at P=63, comparable to the whole edge scan at
+    bench scale) overlaps shard compute.  The convergence check lags one
+    iteration: the extra wave is one more refinement toward the same
+    fixpoint (PPR) or an idempotent pull of converged labels, and its
+    scan is counted.  wall_s is the read-to-read interval; the clock
+    (re)starts once a wave is in flight, so neither the prologue nor a
+    save counts as wave time."""
+    if not checkpoint_dir and (checkpoint_every or resume):
+        # without a directory both would be silent no-ops: nothing
+        # saved, and a "resumed" run restarting from iteration 0
+        raise ValueError("checkpoint_every and resume need a checkpoint_dir")
+    ck = _Checkpointer(sg, checkpoint_dir, prog.kind, prog.meta, checkpoint_every)
+    resumed = ck.latest_complete() if resume else None
+    start_iter = 0 if resumed is None else resumed["iter"]
+    if resumed is not None:
+        ray.get(
+            [
+                a.load_state.remote(ck.shard_path(start_iter, i), prog.n_queries)
+                for i, a in enumerate(sg.actors)
+            ]
+        )
+    converged = prog.restore(resumed)
+    ck.reset_metrics(start_iter)
+
+    metrics: list[dict] = []
+    msg_refs = [a.message.remote(prog.kind, *prog.params) for a in sg.actors]
+    it = start_iter
+    in_flight = None  # (iter, params, output refs)
+    t_prev = None
+    while True:
+        barrier = in_flight is not None and ck.is_save_point(it)
+        if it < max_iter and not converged and not barrier:
+            params = prog.params
+            args = (prog.kind, *params, *prog.assemble(msg_refs))
+            refs = [a.step.options(num_returns=2).remote(*args) for a in sg.actors]
+            msg_refs = [r[1] for r in refs]
+            if t_prev is None:
+                t_prev = time.perf_counter()
+            new_flight = (it, params, [r[0] for r in refs])
+            it += 1
+        else:
+            new_flight = None
+        if in_flight is None and new_flight is None:
+            break
+        if in_flight is not None:
+            f_it, f_params, f_refs = in_flight
+            outs = ray.get(f_refs)
+            now = time.perf_counter()
+            rec, converged, extra = prog.consume(
+                f_params, outs, now - t_prev, new_flight is None
+            )
+            t_prev = now
+            rec = {"iter": f_it + 1, "algo": prog.kind, **rec}
+            metrics.append(rec)
+            ck.metric(rec)
+            if new_flight is None and ck.is_save_point(f_it + 1):
+                ck.save(f_it + 1, extra)
+                t_prev = None  # the save is not wave time
+        in_flight = new_flight
+    return (prog.collect() if collect else None), metrics
+
+
+# ---------------------------------------------------------------------------
 # PPR / PageRank
 # ---------------------------------------------------------------------------
+
+
+class _PPR:
+    """Batched PPR as a superstep program.  Pull model: one (contrib,
+    dangling, hub) message per shard, merged by the k PARALLEL chunk
+    assemblers into the iteration's k chunk objects; every owner
+    segment-reduces its incoming edges against them.  Passing k chunk
+    refs (auto-dereffed at the actor) keeps the per-iteration ref
+    fan-out at k x P — the full P x P inlining and the borrower-protocol
+    storm of a ray.put'd ref list each measured slower than the edge
+    scan itself at P=63.  The active-column subset happens IN the
+    assembles (``pos``), so the chunks reach the shards already at the
+    active width and no shard re-subsets O(n x B) itself."""
+
+    kind = "ppr"
+
+    def __init__(self, sg: ShardedGraph, meta: dict, damping: float, tol: float):
+        self.sg, self.meta, self.damping, self.tol = sg, meta, damping, tol
+        self.n_queries = meta["n_queries"]
+        self.active = np.arange(self.n_queries)
+
+    def restore(self, entry: dict | None) -> bool:
+        if entry is not None:
+            self.active = np.array(entry["active"], dtype=np.int64)
+        self.msg_active = self.active  # columns the published messages cover
+        return len(self.active) == 0
+
+    @property
+    def params(self):
+        return self.damping, self.active
+
+    def assemble(self, msg_refs) -> list:
+        pos = (
+            None
+            if len(self.active) == len(self.msg_active)
+            else np.searchsorted(self.msg_active, self.active)
+        )
+        self.msg_active = self.active
+        return [
+            asm.assemble_ppr.remote(pos, *[msg_refs[i] for i in grp])
+            for asm, grp in zip(self.sg.assemblers, self.sg.msg_groups)
+        ]
+
+    def consume(self, params, deltas, wall: float, draining: bool):
+        wave_active = params[1]
+        delta = np.sum(deltas, axis=0)
+        l1 = float(delta.sum())
+        scanned = self.sg.edge_count * len(wave_active)  # records x active cols
+        rec = {
+            "l1_delta": l1,
+            "active_queries": len(wave_active),
+            "edge_records_scanned": scanned,
+            "wall_s": wall,
+            "edges_per_sec": scanned / wall if wall > 0 else None,
+        }
+        still = wave_active[delta >= self.tol]
+        # while a wave is in flight, later submissions iterate the
+        # intersection: columns not yet converged (per these lagged
+        # deltas) that the in-flight wave's messages still cover
+        self.active = (
+            still if draining else np.intersect1d(self.active, still, assume_unique=True)
+        )
+        return rec, len(self.active) == 0, {"active": self.active.tolist(), "delta": l1}
+
+    def collect(self) -> np.ndarray:
+        return np.vstack(ray.get([a.scores_matrix.remote() for a in self.sg.actors]))
 
 
 def personalized_pagerank(
@@ -341,10 +488,11 @@ def personalized_pagerank(
 
     ``resets``: None (uniform), a dense (n, B) matrix — (n,) when
     ``n_queries`` is 1; any other shape raises ValueError — or a list of
-    per-query (vids, weights) pairs.  Both forms become sparse triples
-    on the driver and take the ``reset_dataset`` route.
+    ``n_queries`` per-query (vids, weights) pairs.  Both forms become
+    sparse triples on the driver and take the ``reset_dataset`` route.
     ``reset_dataset``: a (vid, query_idx, weight) Dataset routed to the
     shards without driver materialization (the streaming reset path).
+    ``checkpoint_every``/``resume`` need ``checkpoint_dir``.
     ``collect=False`` skips assembling the dense score matrix on the
     driver — consume results via the actors' ``topk_chunk_scores`` /
     ``scores_table`` instead."""
@@ -382,137 +530,8 @@ def personalized_pagerank(
 
         digests = ray.get([a.reset_digest.remote() for a in sg.actors])
         meta["reset_fp"] = hashlib.md5("".join(digests).encode()).hexdigest()[:16]
-    ck = _Checkpointer(sg, checkpoint_dir, "ppr", meta, checkpoint_every)
-    start_iter = 0
-    active = np.arange(n_queries)
-    resumed = ck.latest_complete() if resume else None
-
-    if resumed is not None:
-        start_iter = resumed["iter"]
-        active = np.array(resumed["active"], dtype=np.int64)
-        ray.get(
-            [
-                a.load_state.remote(ck.shard_path(start_iter, i), n_queries)
-                for i, a in enumerate(sg.actors)
-            ]
-        )
-    ck.reset_metrics(start_iter)
-
-    metrics: list[dict] = []
-    # pull model: one (contrib, dangling) message per shard, merged by
-    # k PARALLEL group-assemble tasks into the iteration's k chunk
-    # broadcast objects; every owner segment-reduces its incoming
-    # edges against them (one kernel pass per chunk).  Passing k
-    # chunk refs (auto-dereffed at the actor) keeps the per-iteration
-    # ref fan-out at k x P — the full P x P inlining and the
-    # borrower-protocol storm of a ray.put'd ref list each measured
-    # slower than the edge scan itself at P=63, and the former single
-    # full-matrix assemble was the serial Amdahl term once the
-    # compiled kernel landed.  Each iteration is ONE fused actor wave
-    # (ppr_step = pull + next contrib, bit-identical to separate
-    # waves); only the prologue publishes a bare contrib wave.
-    groups, assemblers = sg.msg_groups, sg.assemblers
-
-    def _submit_wave(active_prev: np.ndarray, active_now: np.ndarray, msg_refs):
-        """One fused actor wave: k chunk assembles over the published
-        contribs, then ppr_step on every shard.  Returns (delta refs,
-        next-iteration contrib refs) WITHOUT waiting.
-
-        The active-column subset happens IN the assembles (``pos``):
-        the chunks reach the shards already at ``active_now`` width, so
-        the per-shard O(n x B) re-subset — which scaled total memcpy
-        with P and dominated the in-actor step time at P=64 — is gone
-        (ppr_step is told columns already match via
-        active_prev=active_now)."""
-        pos = (
-            None
-            if len(active_now) == len(active_prev)
-            else np.searchsorted(active_prev, active_now)
-        )
-        # persistent zero-CPU assembler actors: plain tasks here
-        # re-spawned reaped idle workers mid-run (~1 s import cost
-        # surfacing as random 2-20x iteration-wall spikes)
-        chunk_refs = [
-            assemblers[c].assemble_ppr.remote(pos, *[msg_refs[i] for i in grp])
-            for c, grp in enumerate(groups)
-        ]
-        delta_refs, contrib_refs = _wave_dispatch(
-            sg, "ppr_step", 2, damping, active_now, active_now, *chunk_refs
-        )
-        return delta_refs, contrib_refs
-
-    def _record(it: int, n_active: int, delta: np.ndarray, wall: float) -> None:
-        scanned = sg.edge_count * n_active  # traversals = records x active cols
-        rec = {
-            "iter": it + 1,
-            "algo": "ppr",
-            "l1_delta": float(delta.sum()),
-            "active_queries": int(n_active),
-            "edge_records_scanned": scanned,
-            "wall_s": wall,
-            "edges_per_sec": scanned / wall if wall > 0 else None,
-        }
-        metrics.append(rec)
-        ck.metric(rec)
-
-    # The driver runs one wave AHEAD of delta consumption (pipelined):
-    # wave it+1 is submitted from wave it's contrib REFS before wave
-    # it's deltas are read, so driver-side dispatch (~20-25 ms at P=63,
-    # comparable to the whole edge scan at bench scale) overlaps shard
-    # compute instead of serializing the iteration.  The only semantic
-    # difference is that the active-set shrink lags ONE iteration: a
-    # query whose delta crossed tol at wave it still iterates at wave
-    # it+1 — one extra refinement toward the same fixpoint, so scores
-    # can only move closer to convergence, and the scanned-work metrics
-    # count the real (slightly larger) scan.  Each iteration's wall_s is
-    # the delta-read-to-delta-read interval — the steady-state wave time
-    # INCLUDING the overlapped driver-side dispatch/intersect work.
-    # Save points are checkpoint barriers (see the module docstring).
-    (msg_refs,) = _wave_dispatch(sg, "ppr_contrib", 1, damping, active)
-    msg_active = active  # columns covered by msg_refs
-    it = start_iter
-    in_flight = None  # (iter, active_used, delta_refs)
-    t_prev = None
-    while True:
-        barrier = in_flight is not None and ck.is_save_point(it)
-        if it < max_iter and len(active) > 0 and not barrier:
-            delta_refs, msg_refs = _submit_wave(msg_active, active, msg_refs)
-            if t_prev is None:
-                # clock starts when the FIRST wave is in flight, so
-                # iteration 0 does not absorb the pre-loop contrib
-                # dispatch on top of its own
-                t_prev = time.perf_counter()
-            new_flight = (it, active, delta_refs)
-            msg_active = active
-            it += 1
-        else:
-            new_flight = None
-        if in_flight is None and new_flight is None:
-            break
-        if in_flight is not None:
-            f_it, f_active, f_refs = in_flight
-            delta = np.sum(ray.get(f_refs), axis=0)
-            now = time.perf_counter()
-            _record(f_it, len(f_active), delta, now - t_prev)
-            t_prev = now
-            still = f_active[delta >= tol]
-            # future submissions iterate the intersection: columns
-            # not yet converged (per the lagged deltas) that the
-            # in-flight wave's messages still cover
-            active = (
-                np.intersect1d(active, still, assume_unique=True)
-                if new_flight is not None
-                else still
-            )
-            if new_flight is None and ck.is_save_point(f_it + 1):
-                ck.save(f_it + 1, {"active": active.tolist(), "delta": float(delta.sum())})
-                t_prev = None  # the save is not wave time
-        in_flight = new_flight
-
-    if not collect:
-        return None, metrics
-    scores = np.vstack(ray.get([a.scores_matrix.remote() for a in sg.actors]))
-    return scores, metrics
+    prog = _PPR(sg, meta, damping, tol)
+    return _superstep(sg, prog, max_iter, checkpoint_dir, checkpoint_every, resume, collect)
 
 
 def pagerank(sg: ShardedGraph, **kw) -> tuple[np.ndarray, list[dict]]:
@@ -521,104 +540,39 @@ def pagerank(sg: ShardedGraph, **kw) -> tuple[np.ndarray, list[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Connected components / label propagation
+# Label fixpoints: connected components / label propagation / coreness
 # ---------------------------------------------------------------------------
 
 
-def _label_fixpoint(
-    sg: ShardedGraph,
-    algo: str,
-    init_attr: str,
-    msg_attr: str,
-    pull_attr: str,
-    label_col: str,
-    max_iter: int,
-    checkpoint_dir: str | None,
-    checkpoint_every: int,
-    resume: bool,
-    collect: bool,
-) -> tuple[np.ndarray | None, list[dict]]:
-    """Shared driver for the label-fixpoint algorithms (CC min-label,
-    LP weighted max-vote): init -> (msg broadcast, pull, count changed)
-    until changed == 0, with the same checkpoint/resume/metrics
-    contract as PPR.  One definition so a fix to the loop (resume
-    ordering, metrics truncation, cadence) cannot diverge between the
-    two algorithms."""
-    ck = _Checkpointer(
-        sg, checkpoint_dir, algo, {"max_iter": max_iter}, checkpoint_every
-    )
-    start_iter = 0
-    resumed = ck.latest_complete() if resume else None
-    ray.get([getattr(a, init_attr).remote() for a in sg.actors])
-    if resumed is not None:
-        start_iter = resumed["iter"]
-        ray.get(
-            [
-                a.load_state.remote(ck.shard_path(start_iter, i), 0)
-                for i, a in enumerate(sg.actors)
-            ]
-        )
-    ck.reset_metrics(start_iter)
-    metrics: list[dict] = []
-    # one fused actor wave per iteration (step = pull + next message),
-    # mirroring the PPR loop; the prologue publishes the initial labels
-    (msg_refs,) = _wave_dispatch(sg, msg_attr, 1)
-    step_attr = pull_attr.replace("_pull", "_step")
+class _Labels:
+    """A label fixpoint (CC min-label, LP weighted max-vote, coreness
+    h-index) as a superstep program over initialized shard labels: one
+    assembled (n,) label message per iteration, converged when no label
+    changed."""
 
-    def _submit_wave(refs):
+    n_queries = 0
+    params = ()
+
+    def __init__(self, sg: ShardedGraph, kind: str, col: str, max_iter: int):
+        self.sg, self.kind, self.col = sg, kind, col
+        self.meta = {"max_iter": max_iter}
+
+    def restore(self, entry: dict | None) -> bool:
+        return False
+
+    def assemble(self, msg_refs) -> list:
         # label messages are (n,) ints — no win from chunk parallelism,
         # but the persistent assembler actor avoids task-worker churn
-        assembled = sg.assemblers[0].assemble_labels.remote(*refs)
-        changed_refs, label_refs = _wave_dispatch(sg, step_attr, 2, assembled)
-        return changed_refs, label_refs
+        return [self.sg.assemblers[0].assemble_labels.remote(*msg_refs)]
 
-    def _record(it: int, changed: int, wall: float) -> None:
-        rec = {
-            "iter": it + 1,
-            "algo": algo,
-            "changed": int(changed),
-            "edge_records_scanned": sg.edge_count,
-            "wall_s": wall,
-        }
-        metrics.append(rec)
-        ck.metric(rec)
+    def consume(self, params, changed, wall: float, draining: bool):
+        changed = int(sum(changed))
+        rec = {"changed": changed, "edge_records_scanned": self.sg.edge_count, "wall_s": wall}
+        return rec, changed == 0, {"changed": changed}
 
-    # same wave pipelining and checkpoint barriers as the PPR loop: the
-    # driver stays one wave ahead of the changed-count consumption, so
-    # dispatch overlaps shard compute.  The fixpoint check lags one
-    # iteration — the extra in-flight wave runs on already-converged
-    # labels (idempotent pulls) and its scan is counted honestly.
-    it = start_iter
-    in_flight = None  # (iter, changed_refs)
-    done = False
-    t_prev = time.perf_counter()
-    while True:
-        barrier = in_flight is not None and ck.is_save_point(it)
-        if it < max_iter and not done and not barrier:
-            changed_refs, msg_refs = _submit_wave(msg_refs)
-            new_flight = (it, changed_refs)
-            it += 1
-        else:
-            new_flight = None
-        if in_flight is None and new_flight is None:
-            break
-        if in_flight is not None:
-            f_it, f_refs = in_flight
-            changed = sum(ray.get(f_refs))
-            now = time.perf_counter()
-            _record(f_it, changed, now - t_prev)
-            t_prev = now
-            if changed == 0:
-                done = True
-            if new_flight is None and ck.is_save_point(f_it + 1):
-                ck.save(f_it + 1, {"changed": int(changed)})
-                t_prev = time.perf_counter()  # the save is not wave time
-        in_flight = new_flight
-    if not collect:
-        return None, metrics
-    tables = ray.get([a.labels_table.remote(label_col) for a in sg.actors])
-    labels = np.concatenate([t[label_col].to_numpy() for t in tables])
-    return labels, metrics
+    def collect(self) -> np.ndarray:
+        tables = ray.get([a.labels_table.remote(self.col) for a in self.sg.actors])
+        return np.concatenate([t[self.col].to_numpy() for t in tables])
 
 
 def connected_components(
@@ -635,19 +589,9 @@ def connected_components(
     large-star/small-star variant would shrink that — the substrate
     (scatter min / gather min) stays the same.
     """
-    return _label_fixpoint(
-        sg,
-        "cc",
-        "cc_init",
-        "labels_msg",
-        "cc_pull",
-        "component",
-        max_iter,
-        checkpoint_dir,
-        checkpoint_every,
-        resume,
-        collect,
-    )
+    ray.get([a.labels_init.remote() for a in sg.actors])
+    prog = _Labels(sg, "cc", "component", max_iter)
+    return _superstep(sg, prog, max_iter, checkpoint_dir, checkpoint_every, resume, collect)
 
 
 def label_propagation(
@@ -659,19 +603,9 @@ def label_propagation(
     collect: bool = True,
 ) -> tuple[np.ndarray | None, list[dict]]:
     """Synchronous weighted label propagation (deterministic tie-break)."""
-    return _label_fixpoint(
-        sg,
-        "lp",
-        "lp_init",
-        "lp_msg",
-        "lp_pull",
-        "label",
-        max_iter,
-        checkpoint_dir,
-        checkpoint_every,
-        resume,
-        collect,
-    )
+    ray.get([a.labels_init.remote() for a in sg.actors])
+    prog = _Labels(sg, "lp", "label", max_iter)
+    return _superstep(sg, prog, max_iter, checkpoint_dir, checkpoint_every, resume, collect)
 
 
 def coreness(
@@ -702,16 +636,5 @@ def coreness(
     )
     hub_ref = ray.put(hub_deg)
     ray.get([a.core_init.remote(hub_ref) for a in sg.actors])
-    return _label_fixpoint(
-        sg,
-        "coreness",
-        "core_ready",
-        "core_msg",
-        "core_pull",
-        "coreness",
-        max_iter,
-        checkpoint_dir,
-        checkpoint_every,
-        resume,
-        collect,
-    )
+    prog = _Labels(sg, "coreness", "coreness", max_iter)
+    return _superstep(sg, prog, max_iter, checkpoint_dir, checkpoint_every, resume, collect)

@@ -2631,7 +2631,8 @@ QUERIES = {
 def _power_iteration_sql(reset_cte: str, k: int = _PR_ITERS) -> str:
     """K-step damped power iteration as chained CTEs (DuckDB):
     next = 0.5*r + 0.5*dangling*r + sum over incoming of
-    0.5*score[u]*w(u,v)/outw(u) — exactly the engine's ppr_pull update
+    0.5*score[u]*w(u,v)/outw(u) — exactly the pull of the engine's
+    ``GraphShard.step("ppr", ...)`` (``GraphShard._pull_chunks``)
     (SimpleGraph.kt:130-182 semantics, damping 0.5)."""
     steps = []
     for i in range(1, k + 1):
@@ -2713,7 +2714,8 @@ def _coreness_sql(rounds: int = 8) -> str:
     co-occurrence graph: values start at the degree and each round
     become min(current, H(neighbor values)) where the weighted h-index
     is max(least(value, rank)) over neighbors ranked by value desc —
-    exactly GraphShard.core_pull.  Measured convergence <= 3 rounds at
+    exactly the pull of ``GraphShard.step("coreness", ...)``
+    (``GraphShard.core_pull``).  Measured convergence <= 3 rounds at
     sf0.001/0.01; extra rounds are no-ops at the fixpoint."""
     steps = []
     for i in range(1, rounds + 1):
@@ -2753,7 +2755,7 @@ def _label_prop_sql(k: int = _LP_ITERS) -> str:
     """K-step synchronous weighted label propagation as chained CTEs:
     next label = neighbor label with max weight sum, ties to the
     smallest label, no-neighbor vertices keep their label — exactly
-    GraphShard.lp_pull."""
+    the pull of ``GraphShard.step("lp", ...)`` (``GraphShard.lp_pull``)."""
     steps = []
     for i in range(1, k + 1):
         steps.append(

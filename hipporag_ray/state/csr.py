@@ -13,13 +13,13 @@ the pull-model iteration below.
 Iteration protocol (pull / broadcast model):
 
 1. every actor publishes one small per-vertex message vector for its
-   range (PPR: damping*score/out_weight; CC/LP: labels) — total bytes
-   per iteration = n x B, independent of P;
-2. k PARALLEL group-assemble tasks concatenate the P slices into k
-   message CHUNKS (PPR; consecutive-shard vid ranges cut at vertex
-   quantiles — a single full-matrix assemble was the serial O(n x B)
-   Amdahl term once the compiled kernel landed, capping 8->32-CPU
-   scaling at ~0.5) and every actor fetches the k objects (zero-copy
+   range (PPR: damping*score/out_weight; CC/LP/coreness: labels) —
+   total bytes per iteration = n x B, independent of P;
+2. k persistent zero-CPU assembler actors concatenate, in parallel,
+   the P slices into k message CHUNKS (PPR; consecutive-shard vid
+   ranges cut at vertex quantiles — a single full-matrix assemble was
+   the serial O(n x B) Amdahl term once the compiled kernel landed,
+   capping 8->32-CPU scaling at ~0.5) and every actor fetches the k objects (zero-copy
    plasma reads; on a multi-node cluster each node fetches each chunk
    once — the same n x B per-node traffic) and segment-reduces its
    incoming edges chunk by chunk, pre-sorted by (chunk, own vid)
@@ -30,6 +30,9 @@ Iteration protocol (pull / broadcast model):
    instead of P refs to each of P pulls matters: the driver-side
    O(P^2) ref bookkeeping measured 170-330 ms per iteration at
    P=63 — more than the edge scan itself.
+
+Every algorithm runs one ``GraphShard.step`` (pull, then publish the
+next message) per shard per iteration, from ``algos/iterate._superstep``.
 
 This replaces a dense scatter all-to-all (P x n x B bytes/iteration)
 that measured 10-50x slower than compute at P=32.  Actors are *caches
@@ -64,7 +67,6 @@ _PERF_ZERO = {
     "contrib_s": 0.0,
     "step_s": 0.0,
     "steps": 0,
-    "subset_s": 0.0,  # column-subset memcpy inside ppr_step
     "kernel_cpu_s": 0.0,  # thread_time twins of the wall timers
     "step_cpu_s": 0.0,
 }
@@ -192,8 +194,8 @@ class GraphShard:
         # incoming edges as a CHUNKED CSR: edges sorted by (message
         # chunk of the source vid, own, other).  ``msg_chunk_bounds``
         # partitions the vid range into k chunks, and the driver merges
-        # the per-shard contrib slices into k chunk matrices with k
-        # PARALLEL assemble tasks instead of one serial full-matrix
+        # the per-shard contrib slices into k chunk matrices on k
+        # parallel assembler actors instead of one serial full-matrix
         # concat — with the compiled kernel the O(n x B) serial
         # assemble was the Amdahl term that capped 8->32-CPU scaling
         # efficiency at ~0.5.  Each chunk's edge run is a contiguous
@@ -201,7 +203,7 @@ class GraphShard:
         # is stored chunk-LOCAL (row index into that chunk's message
         # matrix), and the pull calls the accumulating kernel once per
         # chunk.  k=1 (the default for directly-constructed shards)
-        # degenerates to the previous single-assembled-matrix protocol.
+        # is one chunk covering the whole vid range.
         # Handing k refs to P pulls instead of P refs each remains the
         # point: driver-side O(P^2) ref bookkeeping measured 170-330 ms
         # per iteration at P=63 — more than the edge scan itself.
@@ -464,46 +466,28 @@ class GraphShard:
     # kernel from a descheduled one (the r4 8->32 scaling adjudication
     # needed exactly this split)
 
-    def _chunk_views(self, M: np.ndarray) -> list[np.ndarray]:
-        """Row-slice a FULL (n, B) assembled message matrix into the
-        per-chunk views the chunked pull scans (zero-copy: row slices
-        of a C-contiguous matrix stay C-contiguous)."""
-        cb = self._chunk_bounds
-        return [M[int(cb[c]) : int(cb[c + 1])] for c in range(len(cb) - 1)]
-
-    def ppr_pull(self, damping: float, active: np.ndarray, contrib) -> np.ndarray:
-        """next = (1-d)*reset + d*dangling*reset + incoming segment sums;
-        update active columns in place; return per-column L1 delta.
-
-        ``contrib`` is the assembled (M, dangling, hub_total) message
-        tuple — the driver passes one ObjectRef per iteration, which
-        auto-derefs at the actor boundary (zero-copy plasma read).  A
-        list of per-shard message refs is also accepted (unit-test
-        convenience) and assembled locally."""
-        if isinstance(contrib, list):
-            contrib = assemble_ppr(ray.get(list(contrib)))
-        M, dangling, hub_total = contrib
-        return self._pull_chunks(
-            damping, active, self._chunk_views(M), dangling, hub_total
-        )
-
-    def _pull_chunks(
-        self,
-        damping: float,
-        active: np.ndarray,
-        Ms: list[np.ndarray],
-        dangling: np.ndarray,
-        hub_total: np.ndarray,
-    ) -> np.ndarray:
-        """Chunked pull core: base ranks, then one accumulating
-        segment-sum pass per message chunk (compiled kernel, or the
-        blocked-gather numpy fallback).
+    def _pull_chunks(self, damping: float, active: np.ndarray, *msgs) -> np.ndarray:
+        """PPR pull: next = (1-d)*reset + d*dangling*reset + incoming
+        segment sums; update the active columns in place and return the
+        per-column L1 delta.  ``msgs`` are the k per-chunk (M_c,
+        dangling_partial, hub_partial) tuples of the group assembles,
+        already at ``active`` width (the assembles subset the columns).
+        Base ranks first, then one accumulating segment-sum pass per
+        message chunk (compiled kernel, or the blocked-gather numpy
+        fallback).
 
         On the numpy fallback the edge scan runs in fixed-size blocks
         (snapped to segment boundaries) through a persistent gather
         buffer — a single (E x B) temporary measured 3x slower at low
         shard counts from mmap churn and page faults.  The compiled
         kernel needs no temporary at all."""
+        if len(msgs) != len(self._chunks):
+            raise ValueError(
+                f"ppr step: got {len(msgs)} message chunks, shard has {len(self._chunks)}"
+            )
+        Ms = [m[0] for m in msgs]
+        dangling = np.sum([m[1] for m in msgs], axis=0)
+        hub_total = np.sum([m[2] for m in msgs], axis=0)
         # .take, not reset[:, active]: fancy indexing on axis 1 returns an
         # F-CONTIGUOUS array and numpy arithmetic preserves that layout —
         # the compiled kernel writes C-order and would scatter into wrong
@@ -587,74 +571,6 @@ class GraphShard:
         self._perf["kernel_cpu_s"] += _t.thread_time() - _ck
         return delta
 
-    def ppr_step(
-        self, damping: float, active_prev: np.ndarray, active_now: np.ndarray, *msgs
-    ):
-        """Fused pull + NEXT-iteration contrib in one actor call — the
-        driver submits one wave per iteration instead of two.  The
-        published contrib is computed over ``active_now`` (exactly what
-        a separate contrib wave would publish, so results are
-        bit-identical); the next step subsets its columns down to its
-        own active set.  Message columns correspond to ``active_prev``
-        (the set the previous step's contrib used).
-
-        ``msgs`` is either the k per-chunk (M_c, dangling_partial,
-        hub_partial) tuples from the parallel group assembles (each a
-        top-level arg so Ray auto-derefs them — no borrower-protocol
-        ref list), or ONE legacy tuple holding the full assembled
-        matrix with total dangling/hub sums (row-sliced into chunk
-        views here; identical when k == 1)."""
-        import time as _t
-
-        _ts = _t.perf_counter()
-        _cs = _t.thread_time()
-        if len(msgs) == 1 and isinstance(msgs[0], list):
-            # unit-test convenience: list of per-shard message refs
-            msgs = (assemble_ppr(ray.get(list(msgs[0]))),)
-        kc = len(self._chunks)
-        if len(msgs) == kc:
-            Ms = [m[0] for m in msgs]
-            dangling = np.sum([m[1] for m in msgs], axis=0)
-            hub_total = np.sum([m[2] for m in msgs], axis=0)
-        elif len(msgs) == 1:
-            M, dangling, hub_total = msgs[0]
-            Ms = self._chunk_views(M)
-        else:
-            raise ValueError(
-                f"ppr_step: got {len(msgs)} message chunks, shard has {kc}"
-            )
-        if len(active_now) != len(active_prev):
-            _tsub = _t.perf_counter()
-            # .take keeps C-order (fancy axis-1 indexing would go F-order
-            # and trip the kernel's layout guard)
-            pos = np.searchsorted(active_prev, active_now)
-            # membership gate: searchsorted returns INSERTION points, so
-            # a column of active_now absent from active_prev would
-            # silently consume a different query's messages — the same
-            # silent-wrap class the reset-routing gates refuse loudly
-            if (pos >= len(active_prev)).any() or not np.array_equal(
-                np.asarray(active_prev)[np.minimum(pos, len(active_prev) - 1)],
-                np.asarray(active_now),
-            ):
-                raise ValueError(
-                    "ppr_step: active_now is not a subset of active_prev"
-                )
-            Ms = [m.take(pos, axis=1) for m in Ms]
-            dangling = dangling[pos]
-            hub_total = hub_total.take(pos, axis=1)
-            self._perf["subset_s"] += _t.perf_counter() - _tsub
-        elif not np.array_equal(np.asarray(active_prev), np.asarray(active_now)):
-            # equal lengths are taken as "same columns" on the fast
-            # path — verify it (O(B), B <= batch size) instead of
-            # silently pairing each column with a different query
-            raise ValueError("ppr_step: active sets differ but have equal size")
-        delta = self._pull_chunks(damping, active_now, Ms, dangling, hub_total)
-        out = delta, self.ppr_contrib(damping, active_now)
-        self._perf["step_s"] += _t.perf_counter() - _ts
-        self._perf["step_cpu_s"] += _t.thread_time() - _cs
-        self._perf["steps"] += 1
-        return out
-
     def scores_table(self, query_idx: int = 0) -> pa.Table:
         vids = np.arange(self.lo, self.hi, dtype=np.int64)
         return pa.table(
@@ -668,7 +584,8 @@ class GraphShard:
     # Connected components (min-label propagation w/ self label)
     # ------------------------------------------------------------------
 
-    def cc_init(self) -> None:
+    def labels_init(self) -> None:
+        """Every vertex starts as its own label (CC and LP)."""
         self.labels = np.arange(self.lo, self.hi, dtype=np.int64)
 
     def labels_msg(self):
@@ -682,8 +599,6 @@ class GraphShard:
         return self.labels, hub_mins
 
     def cc_pull(self, label_msgs) -> int:
-        if isinstance(label_msgs, list):
-            label_msgs = assemble_labels(ray.get(list(label_msgs)))
         global_lab, hub_parts = label_msgs
         nxt = self.labels.copy()
         if len(self._gown):
@@ -715,17 +630,6 @@ class GraphShard:
         self.labels = nxt
         return changed
 
-    def cc_step(self, assembled):
-        """Fused CC pull + next-iteration label message (one actor wave
-        per iteration, same pattern as ppr_step; bit-identical to the
-        separate waves since the message is just the updated labels)."""
-        changed = self.cc_pull(assembled)
-        return changed, self.labels_msg()
-
-    def lp_step(self, assembled):
-        changed = self.lp_pull(assembled)
-        return changed, self.lp_msg()
-
     def labels_table(self, col: str = "component") -> pa.Table:
         vids = np.arange(self.lo, self.hi, dtype=np.int64)
         return pa.table({"vid": vids, col: self.labels.copy()})
@@ -733,9 +637,6 @@ class GraphShard:
     # ------------------------------------------------------------------
     # Label propagation (synchronous, weighted max-vote, min tie-break)
     # ------------------------------------------------------------------
-
-    def lp_init(self) -> None:
-        self.labels = np.arange(self.lo, self.hi, dtype=np.int64)
 
     def lp_msg(self):
         """(labels, hub_votes (hub_idx, label, wsum)): per-hub label
@@ -753,8 +654,6 @@ class GraphShard:
         return self.labels, votes
 
     def lp_pull(self, label_msgs) -> int:
-        if isinstance(label_msgs, list):
-            label_msgs = assemble_labels(ray.get(list(label_msgs)))
         global_lab, vote_parts = label_msgs
         all_own, all_lab, all_w = [], [], []
         if len(self._gown):
@@ -854,12 +753,6 @@ class GraphShard:
         # the previous run's active-set baseline
         self._core_prev_global = None
 
-    def core_ready(self) -> None:
-        """No-op init hook for _label_fixpoint (the real init is the
-        two-phase degree collective core_degree_partial/core_init)."""
-        if self.labels is None:
-            raise RuntimeError("core_init must run before the fixpoint loop")
-
     def core_msg(self):
         """(values, hub COO (hub_idx, value, count)): per-hub neighbor
         value multisets from my push rows, run-length compressed."""
@@ -878,8 +771,6 @@ class GraphShard:
         return self.labels, coo
 
     def core_pull(self, msgs) -> int:
-        if isinstance(msgs, list):
-            msgs = assemble_labels(ray.get(list(msgs)))
         global_vals, coo_parts = msgs
         if not global_vals.flags.c_contiguous:
             global_vals = np.ascontiguousarray(global_vals)
@@ -955,9 +846,44 @@ class GraphShard:
         self.labels = nxt
         return changed
 
-    def core_step(self, assembled):
-        changed = self.core_pull(assembled)
-        return changed, self.core_msg()
+    # ------------------------------------------------------------------
+    # the one superstep contract
+    # ------------------------------------------------------------------
+
+    def step(self, kind: str, *args):
+        """One superstep in ONE actor call: pull the assembled message,
+        then publish the next one from the updated state (bit-identical
+        to separate pull and publish waves).  ``args`` are the
+        ``message`` params, then the message: for ``ppr``, (damping,
+        active, *k per-chunk (M_c, dangling, hub) partials — top-level
+        args, so Ray auto-derefs them), returning (per-column L1 delta,
+        next contrib); for ``cc``/``lp``/``coreness``, (assembled label
+        message,), returning (changed count, next label message)."""
+        import time as _t
+
+        _ts = _t.perf_counter()
+        _cs = _t.thread_time()
+        pull, publish = self._KINDS[kind]
+        params = args[:2] if kind == "ppr" else ()
+        out = pull(self, *args), publish(self, *params)
+        self._perf["step_s"] += _t.perf_counter() - _ts
+        self._perf["step_cpu_s"] += _t.thread_time() - _cs
+        self._perf["steps"] += 1
+        return out
+
+    def message(self, kind: str, *params):
+        """``kind``'s message from the current state — the prologue wave
+        before the first ``step``.  ``ppr`` params are (damping,
+        active); the label kinds take none."""
+        return self._KINDS[kind][1](self, *params)
+
+    # kind -> (pull, publish)
+    _KINDS = {
+        "ppr": (_pull_chunks, ppr_contrib),
+        "cc": (cc_pull, labels_msg),
+        "lp": (lp_pull, lp_msg),
+        "coreness": (core_pull, core_msg),
+    }
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -993,15 +919,16 @@ class GraphShard:
 
 
 def assemble_ppr(msgs, pos=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge the per-shard PPR contrib messages into the iteration's
-    single broadcast payload: the global (n, B) message matrix (shard
-    slices concatenated in bounds order), the summed dangling mass and
-    the summed hub-push block.  The driver runs this as ONE Ray task per
-    iteration whose output ref is handed to every pull — each node then
-    fetches one object per iteration (n x B bytes, the same per-node
-    traffic as fetching all P slices) instead of the driver inlining P
-    refs into P calls (O(P^2) borrow registrations, the measured
-    iteration-wall dominator at P=63).
+    """Merge the PPR contrib messages of one chunk's shard group into a
+    broadcast payload: the chunk's message matrix (shard slices
+    concatenated in bounds order), the summed dangling mass and the
+    summed hub-push block.  The driver runs this on a persistent
+    zero-CPU assembler actor (``_ChunkAssembler``), one call per chunk
+    per iteration, and hands the output refs to every step — each node
+    then fetches the chunks once per iteration (n x B bytes, the same
+    per-node traffic as fetching all P slices) instead of the driver
+    inlining P refs into P calls (O(P^2) borrow registrations, the
+    measured iteration-wall dominator at P=63).
 
     ``pos`` (optional int64 positions into the message columns) fuses
     the active-set column subset into the assemble: when the active set
@@ -1296,10 +1223,10 @@ class ShardedGraph:
         self.n_shards = n_shards
         self.adj_path = adj_path
         # message-chunk groups: the per-iteration broadcast matrix is
-        # assembled as k chunk objects by k PARALLEL zero-CPU tasks
-        # (consecutive shard groups cut at vertex-count quantiles, so
-        # each chunk copies ~n/k rows) instead of one serial full
-        # concat — the serial O(n x B) assemble was the Amdahl term
+        # assembled as k chunk objects by k parallel zero-CPU assembler
+        # actors (consecutive shard groups cut at vertex-count
+        # quantiles, so each chunk copies ~n/k rows) instead of one
+        # serial full concat — the serial O(n x B) assemble was the Amdahl term
         # that capped 8->32-CPU scaling at ~0.5 once the compiled pull
         # kernel landed.  ~8 shards per chunk keeps the per-pull ref
         # fan-out at k x P << P x P (the measured borrower-storm

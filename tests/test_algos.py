@@ -374,7 +374,10 @@ def test_ppr_list_resets_match_dense_and_reject_bad_vids(graph):
     to the same seeds given as a dense matrix (scalar weights broadcast,
     an empty seed list falls back to uniform), and a seed vid outside
     the graph raises instead of wrapping (a negative vid used to index
-    the dense matrix from the end and seed the wrong vertex)."""
+    the dense matrix from the end and seed the wrong vertex).  A list
+    whose length is not ``n_queries`` raises ValueError naming both (a
+    short one used to leave all-zero columns that normalize to uniform
+    PageRank)."""
     g, _ = graph
     n = g.n_vertices
     queries = [(np.array([1, 4, 4]), np.array([0.5, 0.25, 0.25])), ([2, 3], 1.0), ([], [])]
@@ -389,6 +392,9 @@ def test_ppr_list_resets_match_dense_and_reject_bad_vids(graph):
         for bad in ([-1], [n]):
             with pytest.raises(Exception, match="reset vids outside"):
                 personalized_pagerank(sg, resets=[(bad, [1.0])], n_queries=1)
+        for n_queries in (len(queries) + 1, len(queries) - 1):
+            with pytest.raises(ValueError, match=f"{len(queries)} .*={n_queries}"):
+                personalized_pagerank(sg, resets=queries, n_queries=n_queries)
     finally:
         sg.shutdown()
 
@@ -425,8 +431,8 @@ def test_oversized_segment_float64_path(graph, tmp_path, monkeypatch):
     """Segments longer than the pull chunk take the float64 escalation
     path (the high-degree-vertex branch).  Driven through PLAIN
     GraphShards in-process (an actor pool would not see the patched
-    chunk size), manual contrib/pull loop, compared to the oracle."""
-    from hipporag_ray.state.csr import GraphShard
+    chunk size), manual step("ppr") loop, compared to the oracle."""
+    from hipporag_ray.state.csr import GraphShard, assemble_ppr
 
     g, e = graph
     src, dst, w = _edge_arrays(e)
@@ -445,10 +451,10 @@ def test_oversized_segment_float64_path(graph, tmp_path, monkeypatch):
     for s in shards:
         s.ppr_normalize_reset(totals)
     active = np.arange(1)
+    msgs = [s.message("ppr", 0.5, active) for s in shards]
     for _ in range(100):
-        msgs = [s.ppr_contrib(0.5, active) for s in shards]
-        refs = [ray.put(m) for m in msgs]
-        deltas = [s.ppr_pull(0.5, active, refs) for s in shards]
+        assembled = assemble_ppr(msgs)
+        deltas, msgs = zip(*[s.step("ppr", 0.5, active, assembled) for s in shards])
         if np.sum(deltas) < 1e-6:
             break
     got = np.concatenate([s.scores[:, 0] for s in shards])
@@ -456,6 +462,8 @@ def test_oversized_segment_float64_path(graph, tmp_path, monkeypatch):
 
 
 def _manual_ppr(shards, n_queries=2, iters=8, damping=0.5):
+    from hipporag_ray.state.csr import assemble_ppr
+
     rng = np.random.default_rng(7)
     n = shards[-1].hi
     dense = rng.random((n, n_queries))
@@ -467,21 +475,23 @@ def _manual_ppr(shards, n_queries=2, iters=8, damping=0.5):
     for s in shards:
         s.ppr_normalize_reset(totals)
     active = np.arange(n_queries)
+    msgs = [s.message("ppr", damping, active) for s in shards]
     for _ in range(iters):
-        msgs = [s.ppr_contrib(damping, active) for s in shards]
-        refs = [ray.put(m) for m in msgs]
-        for s in shards:
-            s.ppr_pull(damping, active, refs)
+        assembled = assemble_ppr(msgs)
+        msgs = [s.step("ppr", damping, active, assembled)[1] for s in shards]
     return np.concatenate([s.scores for s in shards])
 
 
 def _manual_cc(shards, iters=30):
+    from hipporag_ray.state.csr import assemble_labels
+
     for s in shards:
-        s.cc_init()
+        s.labels_init()
+    msgs = [s.message("cc") for s in shards]
     for _ in range(iters):
-        refs = [ray.put(s.labels_msg()) for s in shards]
-        changed = sum(s.cc_pull(refs) for s in shards)
-        if changed == 0:
+        assembled = assemble_labels(msgs)
+        changed, msgs = zip(*[s.step("cc", assembled) for s in shards])
+        if sum(changed) == 0:
             break
     return np.concatenate([s.labels for s in shards])
 
@@ -562,12 +572,11 @@ def test_chunked_messages_match_single_assemble(graph):
     np.testing.assert_array_equal(out[1][2], out[4][2])
 
 
-def test_chunked_shard_accepts_single_assembled(graph):
-    """A GraphShard built with k>1 message chunks still accepts the
-    legacy single-assembled message everywhere it is accepted at k=1:
-    ppr_pull with a list of per-shard refs, and ppr_step with ONE full
-    (M, dangling, hub) tuple (row-sliced into chunk views internally).
-    Scores must match the oracle."""
+def test_chunked_shard_in_process_matches_oracle(graph):
+    """A GraphShard built with k>1 message chunks, stepped in-process
+    with the assembled message sliced into k per-chunk (M_c, dangling,
+    hub) tuples (the totals ride in chunk 0, zeros elsewhere, as the
+    step sums the chunk partials), matches the oracle."""
     from hipporag_ray.state.csr import GraphShard, assemble_ppr
 
     g, e = graph
@@ -584,16 +593,47 @@ def test_chunked_shard_accepts_single_assembled(graph):
     for s in shards:
         s.ppr_normalize_reset(totals)
     active = np.arange(1)
+    msgs = [s.message("ppr", 0.5, active) for s in shards]
     for _ in range(60):
-        msgs = [s.ppr_contrib(0.5, active) for s in shards]
-        assembled = assemble_ppr(msgs)
-        # ppr_step's legacy one-tuple branch (kc=3, len(msgs)=1)
-        deltas = [s.ppr_step(0.5, active, active, assembled)[0] for s in shards]
+        M, dangling, hub = assemble_ppr(msgs)
+        chunks = [
+            (
+                M[cb[c] : cb[c + 1]],
+                dangling if c == 0 else np.zeros_like(dangling),
+                hub if c == 0 else np.zeros_like(hub),
+            )
+            for c in range(3)
+        ]
+        deltas, msgs = zip(*[s.step("ppr", 0.5, active, *chunks) for s in shards])
         if np.sum(deltas) < 1e-7:
             break
     got = np.concatenate([s.scores[:, 0] for s in shards])
     want = pagerank_oracle(n, src, dst, w)
     np.testing.assert_allclose(got, want, atol=1e-6)
+
+
+def test_step_timers_count_every_kind(graph):
+    """GraphShard.step keeps its phase timers for every kind: after a
+    PPR, CC, LP or coreness call each shard counted one step per
+    iteration record of that call."""
+    from hipporag_ray.algos.iterate import coreness
+
+    g, _ = graph
+    sg = ShardedGraph(g.adj_path, g.n_vertices, n_shards=3)
+    try:
+        for run in (
+            lambda: personalized_pagerank(sg, n_queries=2),
+            lambda: connected_components(sg),
+            lambda: label_propagation(sg, max_iter=10),
+            lambda: coreness(sg),
+        ):
+            ray.get([a.perf_counters.remote() for a in sg.actors])  # zero them
+            _, metrics = run()
+            perf = ray.get([a.perf_counters.remote() for a in sg.actors])
+            assert [p["steps"] for p in perf] == [len(metrics)] * sg.n_shards
+            assert all(p["step_s"] > 0 for p in perf)
+    finally:
+        sg.shutdown()
 
 
 def test_kcore_members_vs_peeling_oracle():

@@ -37,6 +37,23 @@ def test_cc_resume(small_transcripts, tmp_path):
         sg.shutdown()
 
 
+def test_checkpoint_args_need_a_directory(small_transcripts, tmp_path):
+    """checkpoint_every > 0 or resume=True without checkpoint_dir raises
+    ValueError for PPR and CC — both used to be silent no-ops (nothing
+    saved; "resume" restarting from iteration 0)."""
+    from hipporag_ray.algos.iterate import personalized_pagerank
+
+    g = build_graph(rd.read_parquet(small_transcripts), str(tmp_path / "g"))
+    sg = ShardedGraph(g.adj_path, g.n_vertices, n_shards=2)
+    try:
+        for run in (personalized_pagerank, connected_components):
+            for kw in ({"checkpoint_every": 2}, {"resume": True}):
+                with pytest.raises(ValueError, match="checkpoint_dir"):
+                    run(sg, **kw)
+    finally:
+        sg.shutdown()
+
+
 def test_resume_rejects_lineage_mismatch(small_transcripts, tmp_path):
     """A checkpoint taken under a different partitioning is ignored —
     the run restarts from iteration 0 instead of loading bad shards."""
@@ -256,7 +273,7 @@ def test_md5_hex_null_tolerant():
 
 
 def test_coreness_resume(tmp_path):
-    """Coreness inherits the _label_fixpoint checkpoint/resume
+    """Coreness inherits the superstep loop's checkpoint/resume
     contract: an interrupted run resumes mid-iteration (degree init is
     re-run, then overwritten by the checkpointed values) and converges
     to the peeling oracle.  Uses a distinct-pair adjacency — coreness
