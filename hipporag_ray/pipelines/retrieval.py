@@ -459,6 +459,7 @@ class HippoRagEngine:
         # callable is not config-serializable so it is constructor-only)
         self.qa_llm_fn = qa_llm_fn
         self._sg: ShardedGraph | None = None
+        self._sg_stale = False
 
     @classmethod
     def from_config(cls, working_dir: str, config=None) -> "HippoRagEngine":
@@ -504,7 +505,10 @@ class HippoRagEngine:
     def index(self, transcripts: "rd.Dataset") -> dict:
         """Append new turns; store inserts are anti-join incremental and
         the graph merges incrementally when one already exists
-        (build_graph_incremental) — old turns are never re-extracted."""
+        (build_graph_incremental) — old turns are never re-extracted.
+        The shard pool is not respawned: like every write, this marks
+        it stale (``_invalidate``), and the next retrieve reloads the
+        live shard actors in place and rebuilds the views."""
         # streamed corpus append: each index() call writes one batch
         # directory of parquet parts (never concatenated on the driver)
         batch_dir = os.path.join(
@@ -513,13 +517,7 @@ class HippoRagEngine:
         transcripts.write_parquet(batch_dir)
         new_ds = rd.read_parquet(batch_dir)
         n_chunks, n_entities = self._insert_stores(new_ds)
-        if self._sg is not None:
-            self._sg.shutdown()
-            self._sg = None
-        self._kinds_loaded = False
-        self._joined_views = None
-        self._view_refs = None
-        self._fact_view = None
+        self._invalidate()
         manifest = os.path.join(self.graph_dir, "manifest.json")
         if os.path.exists(manifest) and not self.synonymy:
             from ..stages.graph_build import build_graph_incremental, load_graph
@@ -631,13 +629,7 @@ class HippoRagEngine:
 
     def _reindex(self) -> dict:
         n_chunks, n_entities = self._insert_stores(self.corpus())
-        if self._sg is not None:
-            self._sg.shutdown()
-            self._sg = None
-        self._kinds_loaded = False
-        self._joined_views = None
-        self._view_refs = None
-        self._fact_view = None
+        self._invalidate()
         shutil.rmtree(self.graph_dir, ignore_errors=True)
         g = build_graph(
             self.corpus(), self.graph_dir, self.min_token_len,
@@ -739,13 +731,7 @@ class HippoRagEngine:
         if incremental and os.path.exists(os.path.join(self.graph_dir, "manifest.json")):
             from ..stages.graph_build import delete_chunks_from_graph
 
-            if self._sg is not None:
-                self._sg.shutdown()
-                self._sg = None
-            self._kinds_loaded = False
-            self._joined_views = None
-            self._view_refs = None
-            self._fact_view = None
+            self._invalidate()
             g = delete_chunks_from_graph(
                 texts,
                 load_graph(self.graph_dir),
@@ -817,10 +803,34 @@ class HippoRagEngine:
     def graph(self):
         return load_graph(self.graph_dir)
 
+    def _invalidate(self, close: bool = False) -> None:
+        """Drop every per-graph cache after a write.  The shard pool
+        stays alive, marked stale, and the next retrieve reloads it in
+        place (``_sharded``); ``close`` kills it instead."""
+        if close and self._sg is not None:
+            self._sg.shutdown()
+            self._sg = None
+        self._sg_stale = True
+        self._kinds_loaded = False
+        self._joined_views = None
+        self._view_refs = None
+        self._fact_view = None
+
     def _sharded(self) -> ShardedGraph:
+        """The shard pool over the current graph: spawned on first use,
+        reloaded in place after a write.  A failed reload has already
+        shut the pool down; it is dropped so the next call respawns."""
         if self._sg is None:
             g = self.graph()
             self._sg = ShardedGraph(g.adj_path, g.n_vertices)
+        elif self._sg_stale:
+            g = self.graph()
+            try:
+                self._sg.reload(g.adj_path, g.n_vertices)
+            except BaseException:
+                self._sg = None
+                raise
+        self._sg_stale = False
         return self._sg
 
     def retrieve(self, queries: list[str], top_k: int = 10) -> list[dict]:
@@ -843,7 +853,10 @@ class HippoRagEngine:
            reference's lookup-content-last, HippoRAG.py:428-430).
 
         Fills ``self.timers`` with the reference's accumulators
-        (HippoRAG.py:160-162, 432-439)."""
+        (HippoRAG.py:160-162, 432-439), plus the two post-write costs
+        they contain: ``views_s`` (view rebuild, inside
+        ``linking_time``) and ``pool_s`` (shard pool spawn or in-place
+        reload, inside ``ppr_time``) — both ~0 on a steady retrieve."""
         import time as _time
 
         t_all = _time.perf_counter()
@@ -853,7 +866,10 @@ class HippoRagEngine:
         q_mat = self.embedder.embed(q_norm).astype(np.float64)
         q_ref = ray.put(q_mat)
 
+        t0 = _time.perf_counter()
         self._build_views(g)
+        fact_view = self._fact_joined() if self.facts else None
+        t_views = _time.perf_counter() - t0
 
         # --- linking: facts (HippoRAG.py:1290-1328 fact scores ->
         # 1446-1481 fact->entity phrase weights) or direct entities ---
@@ -861,7 +877,6 @@ class HippoRagEngine:
         fallback: set[int] = set(range(B))
         link = _empty_link()
         if self.facts:
-            fact_view = self._fact_joined()
             if fact_view is not None:
                 link, fallback = self._fact_link(q_ref, B, queries)
         else:
@@ -900,8 +915,10 @@ class HippoRagEngine:
         # scores: skip the iteration entirely when EVERY query fell
         # back, and never launch per-shard top-k tasks for them
         non_fallback = [qi for qi in range(B) if qi not in fallback]
+        t_pool = 0.0
         if non_fallback:
             sg = self._sharded()
+            t_pool = _time.perf_counter() - t0
             personalized_pagerank(
                 sg,
                 n_queries=B,
@@ -967,6 +984,10 @@ class HippoRagEngine:
             "linking_time": t_link,
             "ppr_time": t_ppr,
             "all_retrieval_time": _time.perf_counter() - t_all,
+            # the per-graph rebuilds inside linking_time / ppr_time:
+            # ~0 on a steady retrieve, the post-write cost otherwise
+            "views_s": t_views,
+            "pool_s": t_pool,
         }
         return results
 
@@ -976,7 +997,8 @@ class HippoRagEngine:
 
     def _build_views(self, g) -> None:
         """Cached vertex⋈embedding views (bucketed hash joins; nothing
-        materialized on the driver) — invalidated by (re)indexing."""
+        materialized on the driver) — dropped by every write
+        (``_invalidate``) and rebuilt here by the next retrieve."""
         if getattr(self, "_joined_views", None) is not None:
             return
         from ..stages.shuffle import hash_join, int_key_sum
@@ -1447,13 +1469,7 @@ class HippoRagEngine:
         return solutions, responses, metadata, overall_retrieval_result, overall_qa_results
 
     def close(self):
-        if self._sg is not None:
-            self._sg.shutdown()
-            self._sg = None
+        self._invalidate(close=True)
         for a in getattr(self, "_link_pool", None) or []:
             ray.kill(a)
         self._link_pool = None
-        self._kinds_loaded = False
-        self._joined_views = None
-        self._view_refs = None
-        self._fact_view = None

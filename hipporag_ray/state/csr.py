@@ -260,6 +260,16 @@ class GraphShard:
         # attached to 63 actor processes
         self._perf = dict(_PERF_ZERO)
 
+    def reload(self, *init_args, **init_kw) -> int:
+        """Load another graph slice into this live shard: every attribute
+        is dropped before ``__init__`` re-runs, so nothing of the old
+        graph (scores, resets, labels, kind flags, core pairs, the
+        cached reciprocal out-weights, timers) survives.  Returns the
+        new edge count, so a reload doubles as the loading barrier."""
+        self.__dict__.clear()
+        self.__init__(*init_args, **init_kw)
+        return self.get_edge_count()
+
     def perf_counters(self) -> dict:
         out = dict(self._perf)
         self._perf = dict(_PERF_ZERO)
@@ -1173,6 +1183,13 @@ def edge_balanced_bounds(
     return np.concatenate([[0], cuts, [n_vertices]]).astype(np.int64), hubs
 
 
+def _trim(actors: list, n: int) -> list:
+    """The first ``n`` actors; the surplus is killed."""
+    for a in actors[n:]:
+        ray.kill(a)
+    return actors[:n]
+
+
 class ShardedGraph:
     """Pool of GraphShard actors covering the full vid range."""
 
@@ -1188,11 +1205,48 @@ class ShardedGraph:
         bounds_stats_min_rows: int | None = None,
         msg_chunks: int | None = None,
     ):
+        self._opts = dict(
+            n_shards=n_shards,
+            min_shard_size=min_shard_size,
+            hub_min_degree=hub_min_degree,
+            max_hubs=max_hubs,
+            precise=precise,
+            bounds_stats_min_rows=bounds_stats_min_rows,
+            msg_chunks=msg_chunks,
+        )
+        # one spawn/load path: a new pool is a reload of an empty one
+        self.actors: list = []
+        self.assemblers: list = []
+        self.cpu_per_shard: float | None = None
+        self.reload(adj_path, n_vertices)
+
+    def reload(self, adj_path: str, n_vertices: int) -> None:
+        """Point the pool at another graph with its own constructor
+        options: bounds, hubs and message chunks are re-planned, and the
+        live shard actors reload their new slices in place
+        (``GraphShard.reload``) instead of being respawned — on one
+        core, spawning and warming a 2-shard pool took ~2 s, loading
+        its slices 0.02-0.04 s.  A
+        changed shard count keeps the first min(old, new) actors, spawns
+        the missing ones and kills the surplus (assemblers alike); a
+        changed ``cpu_per_shard`` respawns the whole pool, since the old
+        reservations would overcommit the cluster.  On any failure the
+        pool is shut down and the error re-raised."""
+        try:
+            self._reload(adj_path, n_vertices)
+        except BaseException:
+            self.shutdown()
+            raise
+
+    def _reload(self, adj_path: str, n_vertices: int) -> None:
+        o = self._opts
         # warm the compiled-kernel cache on the driver first: the shard
         # actors then CDLL the cached .so instead of racing 63 parallel
         # compiles on first use (node-local cache; other nodes of a real
         # cluster compile once each on first shard load)
         native()
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        n_shards = o["n_shards"]
         if n_shards is None:
             # Shard-count default, re-measured after the compiled pull
             # kernel landed (the pre-kernel 2x-oversharding figure is
@@ -1207,16 +1261,15 @@ class ShardedGraph:
             # tune: a real multi-node pool amortizes the dispatch floor
             # per node, so per-node 2x oversharding stays right there —
             # pass n_shards explicitly on a cluster.
-            cpus = int(ray.cluster_resources().get("CPU", 8))
             target = min(2 * cpus, max(cpus, 12))
-            n_shards = max(1, min(target, -(-n_vertices // min_shard_size)))
+            n_shards = max(1, min(target, -(-n_vertices // o["min_shard_size"])))
         bounds_kw = (
-            {"stats_min_rows": bounds_stats_min_rows}
-            if bounds_stats_min_rows is not None
+            {"stats_min_rows": o["bounds_stats_min_rows"]}
+            if o["bounds_stats_min_rows"] is not None
             else {}
         )
         self.bounds, self.hubs = edge_balanced_bounds(
-            adj_path, n_vertices, n_shards, hub_min_degree, max_hubs, **bounds_kw
+            adj_path, n_vertices, n_shards, o["hub_min_degree"], o["max_hubs"], **bounds_kw
         )
         n_shards = len(self.bounds) - 1
         self.n_vertices = n_vertices
@@ -1231,6 +1284,7 @@ class ShardedGraph:
         # kernel landed.  ~8 shards per chunk keeps the per-pull ref
         # fan-out at k x P << P x P (the measured borrower-storm
         # regime).
+        msg_chunks = o["msg_chunks"]
         if msg_chunks is None:
             # k=4 measured best at P=63 AND P=16 on the bench graph
             # (k=1: serial-assemble bound; k=8/16: ref fan-out and
@@ -1249,7 +1303,6 @@ class ShardedGraph:
             for i in range(len(group_edges) - 1)
         ]
         self.chunk_bounds = self.bounds[group_edges]
-        cpus = int(ray.cluster_resources().get("CPU", 8))
         # Reservation rules:
         # * fractional when shards outnumber cores — a pool that
         #   outsizes the cluster at num_cpus=1 deadlocks the loading
@@ -1273,23 +1326,36 @@ class ShardedGraph:
             # default 1.0-CPU readback/routing tasks that would
             # otherwise deadlock behind a full reservation)
             cpu_per_shard = (cpus - 1) / n_shards
+        if cpu_per_shard != self.cpu_per_shard:
+            # live actors hold the old per-shard reservation
+            self.shutdown()
         self.cpu_per_shard = cpu_per_shard  # introspectable (tests assert headroom)
+
+        def init(i):
+            return (adj_path, i, self.bounds, n_vertices, self.hubs, o["precise"])
+
+        kw = {"msg_chunk_bounds": self.chunk_bounds}
         # one dedicated actor process per shard: packing several shards
         # into one process measured ~12% slower on steady-state PPR at
         # sf0.1 (the hosted shards' pull threads share a GIL for the
-        # per-chunk Python overhead)
-        self.actors = [
-            GraphShardActor.options(num_cpus=cpu_per_shard).remote(
-                adj_path, i, self.bounds, n_vertices, self.hubs, precise,
-                msg_chunk_bounds=self.chunk_bounds,
+        # per-chunk Python overhead).  Live actors reload in place; only
+        # a grown pool spawns.
+        self.actors = _trim(self.actors, n_shards)
+        loads = [a.reload.remote(*init(i), **kw) for i, a in enumerate(self.actors)]
+        for i in range(len(self.actors), n_shards):
+            self.actors.append(
+                GraphShardActor.options(num_cpus=cpu_per_shard).remote(*init(i), **kw)
             )
-            for i in range(n_shards)
-        ]
+            loads.append(self.actors[-1].get_edge_count.remote())
         # one persistent assembler per message chunk (see _ChunkAssembler)
-        self.assemblers = [ChunkAssemblerActor.remote() for _ in self.msg_groups]
+        self.assemblers = _trim(self.assemblers, len(self.msg_groups))
+        self.assemblers += [
+            ChunkAssemblerActor.remote()
+            for _ in range(len(self.assemblers), len(self.msg_groups))
+        ]
         # block until all shards loaded; also the total directed edge
         # record count (the per-iteration edge-scan volume)
-        self.edge_count = sum(ray.get([a.get_edge_count.remote() for a in self.actors]))
+        self.edge_count = sum(ray.get(loads))
         if len(self.hubs):
             # assemble hub out-weights from the per-shard push partials
             # (hub edge lists are split across shards — never loaded by

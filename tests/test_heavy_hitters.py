@@ -194,3 +194,40 @@ def test_grouped_aggregates_all_null_group_sum_is_null():
     assert len(brow) == 1 and pd.isna(brow["s"].iloc[0]) and brow["n"].iloc[0] == 2
     total = gs[gs["g"].isna()]
     assert len(total) == 1 and total["s"].iloc[0] == 6.0 and total["n"].iloc[0] == 5
+
+
+def test_events_heavy_hitters_verified_retries_larger_sketch(monkeypatch, tmp_path):
+    """An unguaranteed 1024-counter sketch is retried once at 8192
+    before the query raises; the error names both sizes."""
+    import hipporag_ray.stages.agg as agg
+    from hipporag_ray.pipelines.queries import q_events_heavy_hitters_verified
+
+    rng = np.random.default_rng(3)
+    users = rng.zipf(1.5, size=5000) % 400
+    pd.DataFrame({"user_id": users.astype(np.int64)}).to_parquet(
+        tmp_path / "events.parquet"
+    )
+    real = agg.heavy_hitters_topk
+    calls = []
+
+    def guaranteed_from(k_min):
+        def fake(ds, value_col, top=10, k_sketch=1024):
+            calls.append(k_sketch)
+            out, _ = real(ds, value_col, top=top, k_sketch=k_sketch)
+            return out, k_sketch >= k_min
+
+        return fake
+
+    monkeypatch.setattr(agg, "heavy_hitters_topk", guaranteed_from(8192))
+    got = q_events_heavy_hitters_verified(str(tmp_path))
+    assert calls == [1024, 8192]
+    counts = pd.Series(users).value_counts()
+    want = counts.sort_index().sort_values(ascending=False, kind="stable").head(10)
+    assert got["user_id"].astype(np.int64).tolist() == want.index.tolist()
+    assert got["n"].astype(np.int64).tolist() == want.tolist()
+
+    calls.clear()
+    monkeypatch.setattr(agg, "heavy_hitters_topk", guaranteed_from(10**9))
+    with pytest.raises(RuntimeError, match=r"k_sketch=1024.*k_sketch=8192"):
+        q_events_heavy_hitters_verified(str(tmp_path))
+    assert calls == [1024, 8192]

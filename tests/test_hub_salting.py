@@ -266,3 +266,156 @@ def test_pool_reservation_leaves_scheduler_headroom(skew_graph):
         assert scores_dataset(sg, 0).count() == n
     finally:
         sg.shutdown()
+
+
+def _write_graph(path, n, seed, hubs=()):
+    """Random symmetric adjacency on n vertices; each hub gets n/2 spokes."""
+    rng = np.random.default_rng(seed)
+    src = [rng.integers(0, n, 3 * n)]
+    dst = [rng.integers(0, n, 3 * n)]
+    for h in hubs:
+        src.append(np.full(n // 2, h))
+        dst.append(rng.choice(n, size=n // 2, replace=False))
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    w = rng.random(len(src)) + 0.1
+    adj = pa.table(
+        {
+            "src": np.concatenate([src, dst]),
+            "dst": np.concatenate([dst, src]),
+            "weight": np.concatenate([w, w]),
+        }
+    ).sort_by("src")
+    os.makedirs(path)
+    pq.write_table(adj, os.path.join(path, "part-0.parquet"))
+    return path
+
+
+def _all_algos(sg):
+    from hipporag_ray.algos.iterate import coreness
+
+    rng = np.random.default_rng(2)
+    resets = [
+        (rng.choice(sg.n_vertices, size=5, replace=False), rng.random(5)) for _ in range(3)
+    ]
+    s, _ = personalized_pagerank(sg, resets=resets, n_queries=3)
+    c, _ = connected_components(sg)
+    l, _ = label_propagation(sg, max_iter=5)
+    k, _ = coreness(sg)
+    return s, c, l, k
+
+
+def test_sharded_reload_across_shape_changes(tmp_path):
+    """A reload keeps live actors where the plan allows: a grown pool
+    spawns only the new shards, a shrunk one kills its surplus, a
+    changed per-shard reservation respawns everything, and a new hub set
+    reloads in place.  Every algorithm then matches a fresh pool exactly.
+    A failed reload shuts the pool down."""
+    kw = dict(min_shard_size=1000, hub_min_degree=200)
+    g2 = _write_graph(str(tmp_path / "g2"), 2000, 1, hubs=[100])
+    g3 = _write_graph(str(tmp_path / "g3"), 3000, 2, hubs=[100])
+    g5 = _write_graph(str(tmp_path / "g5"), 5000, 3, hubs=[7])
+    g5h = _write_graph(str(tmp_path / "g5h"), 5000, 4, hubs=[2500, 4000])
+
+    def ids(actors):
+        return [a._actor_id for a in actors]
+
+    def fresh(path, n):
+        f = ShardedGraph(path, n, **kw)
+        try:
+            return f.bounds, f.hubs, f.edge_count, _all_algos(f)
+        finally:
+            f.shutdown()
+
+    # the fresh pools run first: two live pools of 1-CPU shards
+    # overcommit the 4-CPU session, and the second never schedules
+    wants = {p: fresh(p, n) for p, n in ((g3, 3000), (g2, 2000), (g5, 5000), (g5h, 5000))}
+
+    def reload(sg, path, n):
+        want = wants[path]
+        sg.reload(path, n)
+        np.testing.assert_array_equal(sg.bounds, want[0])
+        np.testing.assert_array_equal(sg.hubs, want[1])
+        assert sg.edge_count == want[2]
+        for got, exp in zip(_all_algos(sg), want[3]):
+            np.testing.assert_array_equal(got, exp)
+
+    sg = ShardedGraph(g2, 2000, **kw)
+    try:
+        assert sg.n_shards == 2 and sg.cpu_per_shard == 1
+        _all_algos(sg)  # leave per-algorithm state behind on the actors
+        before = ids(sg.actors)
+
+        reload(sg, g3, 3000)  # 2 -> 3 shards
+        assert sg.n_shards == 3 and sg.cpu_per_shard == 1
+        assert ids(sg.actors)[:2] == before
+        assert sg.actors[2]._actor_id not in before
+
+        before, dropped = ids(sg.actors), sg.actors[2]
+        reload(sg, g2, 2000)  # 3 -> 2 shards
+        assert ids(sg.actors) == before[:2]
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(dropped.get_edge_count.remote())
+
+        before = ids(sg.actors) + ids(sg.assemblers)
+        reload(sg, g5, 5000)  # 2 -> 5 shards: the reservation changes
+        assert sg.n_shards >= 4 and sg.cpu_per_shard < 1
+        assert not set(ids(sg.actors) + ids(sg.assemblers)) & set(before)
+
+        before, hubs = ids(sg.actors), sg.hubs.tolist()
+        reload(sg, g5h, 5000)  # same shape, another hub set
+        assert sg.hubs.tolist() != hubs and len(sg.hubs) == 2
+        assert ids(sg.actors) == before
+
+        with pytest.raises(FileNotFoundError):
+            sg.reload(str(tmp_path / "missing"), 5000)
+        assert sg.actors == [] and sg.assemblers == []
+    finally:
+        sg.shutdown()
+
+
+def test_shard_reload_clears_state(tmp_path):
+    """GraphShard.reload leaves nothing of the old graph: after PPR,
+    label, kind and coreness state, the reloaded shard equals a freshly
+    built one attribute for attribute."""
+    from hipporag_ray.state.csr import GraphShard, assemble_labels
+
+    ga = _write_graph(str(tmp_path / "ga"), 600, 5, hubs=[50])
+    gb = _write_graph(str(tmp_path / "gb"), 900, 6, hubs=[300])
+    verts = tmp_path / "verts"
+    os.makedirs(verts)
+    pq.write_table(
+        pa.table({"vid": np.arange(600), "kind": ["chunk", "entity"] * 300}),
+        str(verts / "part-0.parquet"),
+    )
+
+    def args(path, n):
+        return (path, 0, np.array([0, n]), n, np.array([50, 300]), False)
+
+    shard = GraphShard(*args(ga, 600))
+    shard.ppr_init(2, (np.array([1, 2]), np.array([0, 1]), np.array([1.0, 1.0])))
+    shard.ppr_contrib(0.5, np.arange(2))
+    shard.set_hub_out_weights(shard.hub_weight_partials())
+    shard.labels_init()
+    shard.load_kinds(str(verts))
+    shard.core_init(shard.core_degree_partial())
+    shard.core_pull(assemble_labels([shard.core_msg()]))
+    shard.perf_counters()
+
+    assert shard.reload(*args(gb, 900)) == GraphShard(*args(gb, 900)).edge_count
+    fresh = GraphShard(*args(gb, 900))
+    got, want = vars(shard), vars(fresh)
+    got.pop("_kern"), want.pop("_kern")
+    assert got.keys() == want.keys()
+
+    def same(a, b):
+        if isinstance(a, np.ndarray):
+            return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+        if isinstance(a, (tuple, list)):
+            return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+        return a == b
+
+    for key in want:
+        assert same(got[key], want[key]), key
+

@@ -223,3 +223,64 @@ def test_zero_edge_graph_still_loads_and_retrieves(ray_session, tmp_path):
         assert isinstance(res, list) and len(res) == 1
     finally:
         eng.close()
+
+
+def test_engine_pool_survives_writes(ray_session, tmp_path):
+    """Writes reload the engine's live shard actors in place instead of
+    respawning them.  After every write (append, re-append of indexed
+    turns, delete, a synonymy-mode rebuild) the pool keeps its actors,
+    its PPR equals a freshly built pool's, and retrieve equals a new
+    engine's on the same working dir."""
+    from hipporag_ray.algos.iterate import personalized_pagerank
+    from hipporag_ray.state.csr import ShardedGraph
+
+    queries = ["alpha beta", "brandnew onlyinb", "sigma tau"]
+
+    def list_ppr(sg, n):
+        rng = np.random.default_rng(0)
+        resets = [(rng.choice(n, size=3, replace=False), rng.random(3)) for _ in range(2)]
+        return personalized_pagerank(sg, resets=resets, n_queries=2)[0]
+
+    def check(eng, ids, **kw):
+        got = eng.retrieve(queries, top_k=3)
+        assert [a._actor_id for a in eng._sg.actors] == ids
+        g = eng.graph()
+        fresh = ShardedGraph(g.adj_path, g.n_vertices)
+        try:
+            np.testing.assert_array_equal(
+                list_ppr(eng._sg, g.n_vertices), list_ppr(fresh, g.n_vertices)
+            )
+        finally:
+            fresh.shutdown()
+        other = HippoRagEngine(eng.working_dir, dim=32, **kw)
+        try:
+            want = other.retrieve(queries, top_k=3)
+        finally:
+            other.close()
+        assert [r["docs"] for r in got] == [r["docs"] for r in want]
+        assert [r["doc_scores"] for r in got] == [r["doc_scores"] for r in want]
+
+    eng = HippoRagEngine(str(tmp_path / "inc"), dim=32)
+    try:
+        eng.index(_tx(CORPUS_A))
+        eng.retrieve(queries, top_k=3)
+        ids = [a._actor_id for a in eng._sg.actors]
+        eng.index(_tx(CORPUS_B))
+        check(eng, ids)
+        eng.index(_tx(CORPUS_A[:4]))
+        check(eng, ids)
+        eng.delete([t for _, _, t in CORPUS_B])
+        check(eng, ids)
+    finally:
+        eng.close()
+
+    syn = HippoRagEngine(str(tmp_path / "syn"), dim=32, synonymy=True)
+    try:
+        syn.index(_tx(CORPUS_A))
+        syn.retrieve(queries, top_k=3)
+        ids = [a._actor_id for a in syn._sg.actors]
+        syn.index(_tx(CORPUS_B))
+        syn._reindex()
+        check(syn, ids, synonymy=True)
+    finally:
+        syn.close()
