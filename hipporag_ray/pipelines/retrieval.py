@@ -105,6 +105,16 @@ def _emb_matrix(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
     return flat.reshape(n, -1)
 
 
+def _sims(qm: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(Q, d) x (rows, d) -> (Q, rows) dot products, each summed in
+    one fixed order.  ``qm @ m.T`` lets BLAS pick its blocking by the
+    matrix shape, so a score depended on where the packs were cut.
+    Appended packs are cut differently from a rebuild's, so the scores
+    must not (cost: 1.7 -> 8.5 ms for 32 queries x 10.3k rows x 64
+    dims on one core)."""
+    return np.einsum("qd,rd->qr", qm, m, optimize=False)
+
+
 def _densify_block(tbl: pa.Table, kind: str, n_slices: int) -> list:
     """One view block -> ``n_slices`` row-range serving packs.
 
@@ -170,6 +180,74 @@ def _densify_block(tbl: pa.Table, kind: str, n_slices: int) -> list:
     return packs if n_slices > 1 else packs[0]
 
 
+def _extend_pack(pack, tbl: pa.Table | None, kind: str, dst=None, w=None):
+    """A write's delta applied to one serving pack: ``tbl``'s rows
+    (densified as by _densify_block) are appended, then an entity
+    pack's ``n_chunks`` gain the summed new passage-edge weights
+    ``w`` of its vids found in the sorted unique ``dst``."""
+    if tbl is not None and tbl.num_rows:
+        new = _densify_block(tbl, kind, 1)
+        pack = tuple(
+            b if len(a) == 0 else np.concatenate([a, b]) for a, b in zip(pack, new)
+        )
+    if kind == "ent" and dst is not None and len(dst) and len(pack[1]):
+        nk, vid, nch, m = pack
+        at = np.minimum(np.searchsorted(dst, vid), len(dst) - 1)
+        pack = (nk, vid, nch + np.where(dst[at] == vid, w[at], 0.0), m)
+    return pack
+
+
+def _join_delta(verts: pa.Table, kind: str, store: pa.Table | None) -> pa.Table | None:
+    """A write's new vertices of ``kind`` ⋈ its new store rows
+    (node_key = hash_id) -> (node_key, vid, embedding) by vid.  None
+    unless the join is one-to-one: any other delta (a new store row of
+    an old vertex, a new vertex embedded before) touches rows of the
+    built view, which only a rebuild sees."""
+    v = verts.filter(pc.equal(verts["kind"], kind))
+    if store is None:
+        store = pa.table(
+            {
+                "hash_id": pa.array([], pa.string()),
+                "embedding": pa.array([], pa.list_(pa.float32())),
+            }
+        )
+    at = pc.index_in(v["node_key"], value_set=store["hash_id"].combine_chunks())
+    if v.num_rows != store.num_rows or at.null_count:
+        return None
+    return pa.table(
+        {
+            "node_key": v["node_key"],
+            "vid": v["vid"],
+            "embedding": store["embedding"].take(at),
+        }
+    ).sort_by("vid")
+
+
+def _join_facts(store: pa.Table | None, meta: pa.Table | None) -> pa.Table | None:
+    """A write's new fact embeddings ⋈ the fact table's new rows
+    (hash_id = fact_key; the table repeats a fact once per source
+    chunk, first wins) -> (embedding, subj_key, obj_key, content).
+    New table rows of facts embedded before belong to facts the built
+    view already holds.  None when a new embedding has no new row."""
+    if store is None:
+        return pa.table({"embedding": pa.array([], pa.list_(pa.float32()))})
+    if meta is None:
+        return None
+    _keys, first = np.unique(
+        meta["fact_key"].to_numpy(zero_copy_only=False), return_index=True
+    )
+    meta = meta.take(first)
+    at = pc.index_in(store["hash_id"], value_set=meta["fact_key"].combine_chunks())
+    if at.null_count:
+        return None
+    return pa.table(
+        {
+            "embedding": store["embedding"],
+            **{c: meta[c].take(at) for c in ("subj_key", "obj_key", "content")},
+        }
+    )
+
+
 def _fact_tile(pack, qm: np.ndarray, k: int) -> pa.Table:
     """Per-block fact scoring (get_fact_scores, HippoRAG.py:1290-1328):
     per-query block top-k on raw similarity + block extrema.  ``pack``
@@ -189,7 +267,7 @@ def _fact_tile(pack, qm: np.ndarray, k: int) -> pa.Table:
                 "bhi": pa.array([], pa.float64()),
             }
         )
-    sims = qm @ m.T  # (B, rows)
+    sims = _sims(qm, m)  # (B, rows)
     blo, bhi = sims.min(axis=1), sims.max(axis=1)
     qid, flat = topk_tie_rows(sims, k)
     return pa.table(
@@ -240,7 +318,7 @@ def _link_tile(pack, qm: np.ndarray, k: int) -> pa.Table:
                 "n_chunks": pa.array([], pa.float64()),
             }
         )
-    sims = qm @ m.T  # (B, rows)
+    sims = _sims(qm, m)  # (B, rows)
     rows, flat = topk_tie_rows(sims, k)
     return pa.table(
         {
@@ -260,7 +338,7 @@ def _chunk_sims(pack, qm: np.ndarray):
     vids, m = pack
     if m.shape[0] == 0:
         return None, None
-    sims = qm @ m.T  # (B, rows)
+    sims = _sims(qm, m)  # (B, rows)
     return np.stack([sims.min(axis=1), sims.max(axis=1)]), (vids, sims)
 
 
@@ -306,7 +384,7 @@ def _dpr_topk_block(pack, qm: np.ndarray, sel: np.ndarray, top_k: int) -> pa.Tab
                 "score": pa.array([], pa.float64()),
             }
         )
-    sims = qm[sel] @ m.T  # (Q, rows)
+    sims = _sims(qm[sel], m)  # (Q, rows)
     qrow, flat = topk_tie_rows(sims, top_k)
     return pa.table(
         {
@@ -330,6 +408,9 @@ class _LinkWorker:
 
     def densify(self, tbl, kind, n_slices):
         return _densify_block(tbl, kind, n_slices)
+
+    def extend(self, pack, tbl, kind, dst, w):
+        return _extend_pack(pack, tbl, kind, dst, w)
 
     def fact_tile(self, pack, qm, k):
         return _fact_tile(pack, qm, k)
@@ -460,6 +541,15 @@ class HippoRagEngine:
         self.qa_llm_fn = qa_llm_fn
         self._sg: ShardedGraph | None = None
         self._sg_stale = False
+        self._kinds_loaded = False
+        self._link_pool: list | None = None
+        # serving views: refs to the densified packs only (no Dataset);
+        # None = not built.  _view_refs = (entity packs, chunk packs),
+        # _fact_view = fact packs.  _view_rows[kind] = [rows at the
+        # last build, rows appended since] for the compaction rule.
+        self._view_refs: tuple[list, list] | None = None
+        self._fact_view: list | None = None
+        self._view_rows: dict[str, list[int]] = {}
 
     @classmethod
     def from_config(cls, working_dir: str, config=None) -> "HippoRagEngine":
@@ -508,7 +598,24 @@ class HippoRagEngine:
         (build_graph_incremental) — old turns are never re-extracted.
         The shard pool is not respawned: like every write, this marks
         it stale (``_invalidate``), and the next retrieve reloads the
-        live shard actors in place and rebuilds the views."""
+        live shard actors in place.
+
+        The serving views outlive an incremental write: their packs are
+        set aside, the write's delta (new vertex, store, fact and
+        passage-edge rows, read with parquet filters) is appended to
+        them (``_append_views``), and they are put back only once the
+        append succeeded, so the next retrieve rebuilds nothing.  A
+        rebuild write (synonymy mode, no graph yet), a delta the append
+        does not cover, appended rows exceeding the rows of the last
+        build, or an exception anywhere leaves the views dropped for
+        the next retrieve to rebuild.  ``timers`` splits the wall into
+        ``stores_s`` (corpus + store inserts), ``graph_s`` and
+        ``views_s`` (the append)."""
+        import time as _time
+
+        t0 = _time.perf_counter()
+        views = (self._view_refs, self._fact_view)
+        self._invalidate()
         # streamed corpus append: each index() call writes one batch
         # directory of parquet parts (never concatenated on the driver)
         batch_dir = os.path.join(
@@ -516,15 +623,18 @@ class HippoRagEngine:
         )
         transcripts.write_parquet(batch_dir)
         new_ds = rd.read_parquet(batch_dir)
+        parts_before = self._store_parts()
         n_chunks, n_entities = self._insert_stores(new_ds)
-        self._invalidate()
+        t1 = _time.perf_counter()
         manifest = os.path.join(self.graph_dir, "manifest.json")
-        if os.path.exists(manifest) and not self.synonymy:
+        incremental = os.path.exists(manifest) and not self.synonymy
+        if incremental:
             from ..stages.graph_build import build_graph_incremental, load_graph
 
+            old = load_graph(self.graph_dir)
             g = build_graph_incremental(
                 new_ds,
-                load_graph(self.graph_dir),
+                old,
                 self.graph_dir,
                 self.min_token_len,
                 edge_source=self.edge_source,
@@ -538,6 +648,9 @@ class HippoRagEngine:
                 edge_source=self.edge_source,
             )
             n_syn = self._add_synonymy_edges(g) if self.synonymy else 0
+        t2 = _time.perf_counter()
+        if incremental:
+            self._append_views(views, parts_before, old.n_vertices, g)
         return {
             "new_chunks": n_chunks,
             "new_entities": n_entities,
@@ -545,7 +658,115 @@ class HippoRagEngine:
             # match the on-disk manifest, which _add_synonymy_edges bumps
             "n_edges": g.n_edges + n_syn,
             "n_syn_edges": n_syn,
+            "timers": {
+                "stores_s": t1 - t0,
+                "graph_s": t2 - t1,
+                "views_s": _time.perf_counter() - t2,
+            },
         }
+
+    def _store_parts(self) -> dict[str, set[str]]:
+        """Part files of every append-only store, per store: a write's
+        new rows are the parts it adds (every insert writes a new
+        batch directory and never rewrites a part)."""
+        return {
+            "chunk": set(self.chunk_store._parts()),
+            "ent": set(self.entity_store._parts()),
+            "fact": set(self.fact_store._parts()),
+            "fact_meta": set(self._fact_parts()),
+        }
+
+    def _append_views(self, views, parts_before: dict, n_old: int, g) -> None:
+        """Append an incremental write's delta to the serving packs set
+        aside by ``index`` and put them back.  Each delta is read with
+        parquet filters (vertices ``vid >= n_old``, the stores' new
+        parts, passage edges from the new chunks, whose vids are all
+        ``>= n_old``) and joined on the driver; its rows go into each
+        kind's LAST pack, so the pack count stays fixed, and every
+        entity pack's ``n_chunks`` gains the new passage-edge weights
+        (an old entity can gain chunks).  One _LinkWorker call per
+        changed pack.  A view is left dropped (rebuilt by the next
+        retrieve) when the delta is not covered — a new store row
+        whose vertex is not new, or a new vertex without a new store
+        row — or when its appended rows would exceed the rows it was
+        built with (the compaction rule)."""
+        import pyarrow.dataset as pads
+
+        view_refs, fact_refs = views
+        added = self._store_parts()
+        added = {k: sorted(added[k] - parts_before[k]) for k in added}
+
+        def new_rows(key: str, columns: list[str]) -> pa.Table | None:
+            if not added[key]:
+                return None
+            return pads.dataset(added[key]).to_table(columns=columns)
+
+        def grows(kind: str, n: int) -> bool:
+            base, appended = self._view_rows[kind]
+            self._view_rows[kind] = [base, appended + n]
+            return appended + n <= base
+
+        if view_refs is not None:
+            verts = pads.dataset(g.vertices_path).to_table(
+                columns=["node_key", "kind", "vid"],
+                filter=pads.field("vid") >= n_old,
+            )
+            ent = _join_delta(verts, "entity", new_rows("ent", ["hash_id", "embedding"]))
+            chunk = _join_delta(verts, "chunk", new_rows("chunk", ["hash_id", "embedding"]))
+            if (
+                ent is not None
+                and chunk is not None
+                and grows("ent", ent.num_rows)
+                and grows("chunk", chunk.num_rows)
+            ):
+                edges = pads.dataset(g.edges_path).to_table(
+                    columns=["dst", "weight"],
+                    filter=(pads.field("etype") == "passage")
+                    & (pads.field("src") >= n_old),
+                )
+                dst, inv = np.unique(
+                    edges["dst"].to_numpy(zero_copy_only=False), return_inverse=True
+                )
+                w = np.bincount(
+                    inv, weights=edges["weight"].to_numpy(zero_copy_only=False),
+                    minlength=len(dst),
+                )
+                ent = ent.append_column(
+                    "n_chunks", pa.array(np.zeros(ent.num_rows), pa.float64())
+                )
+                ent_refs, chunk_refs = view_refs
+                if len(dst) or ent.num_rows:
+                    ent_refs = self._extend_refs(ent_refs, ent, "ent", dst, w)
+                if chunk.num_rows:
+                    chunk_refs = self._extend_refs(chunk_refs, chunk, "chunk")
+                self._view_refs = (ent_refs, chunk_refs)
+
+        if fact_refs is not None:
+            facts = _join_facts(
+                new_rows("fact", ["hash_id", "embedding"]),
+                new_rows("fact_meta", ["fact_key", "subj_key", "obj_key", "content"]),
+            )
+            if facts is not None and grows("fact", facts.num_rows):
+                self._fact_view = (
+                    self._extend_refs(fact_refs, facts, "fact")
+                    if facts.num_rows
+                    else fact_refs
+                )
+
+    def _extend_refs(self, refs: list, tbl: pa.Table, kind: str, dst=None, w=None) -> list:
+        """One _LinkWorker ``extend`` call per pack that changes: the
+        last pack takes ``tbl``'s rows, and with new passage-edge
+        weights every entity pack is bumped."""
+        pool = self._pool()
+        out = list(refs)
+        bump_all = dst is not None and len(dst) > 0
+        for i, r in enumerate(refs):
+            last = i == len(refs) - 1
+            if last or bump_all:
+                out[i] = pool[i % len(pool)].extend.remote(
+                    r, tbl if last else None, kind, dst, w
+                )
+        return out
 
     def _insert_stores(self, ds: "rd.Dataset") -> tuple[int, int]:
         n_chunks = self.chunk_store.insert_strings(
@@ -812,7 +1033,6 @@ class HippoRagEngine:
             self._sg = None
         self._sg_stale = True
         self._kinds_loaded = False
-        self._joined_views = None
         self._view_refs = None
         self._fact_view = None
 
@@ -854,9 +1074,12 @@ class HippoRagEngine:
 
         Fills ``self.timers`` with the reference's accumulators
         (HippoRAG.py:160-162, 432-439), plus the two post-write costs
-        they contain: ``views_s`` (view rebuild, inside
-        ``linking_time``) and ``pool_s`` (shard pool spawn or in-place
-        reload, inside ``ppr_time``) — both ~0 on a steady retrieve."""
+        they contain: ``views_s`` (view build, inside ``linking_time``)
+        and ``pool_s`` (shard pool spawn or in-place reload, inside
+        ``ppr_time``).  Both are ~0 on a steady retrieve and after an
+        incremental ``index``, which appends to the views instead of
+        dropping them; ``views_s`` is the rebuild after any other
+        write."""
         import time as _time
 
         t_all = _time.perf_counter()
@@ -868,7 +1091,7 @@ class HippoRagEngine:
 
         t0 = _time.perf_counter()
         self._build_views(g)
-        fact_view = self._fact_joined() if self.facts else None
+        fact_refs = self._fact_joined() if self.facts else None
         t_views = _time.perf_counter() - t0
 
         # --- linking: facts (HippoRAG.py:1290-1328 fact scores ->
@@ -877,8 +1100,8 @@ class HippoRagEngine:
         fallback: set[int] = set(range(B))
         link = _empty_link()
         if self.facts:
-            if fact_view is not None:
-                link, fallback = self._fact_link(q_ref, B, queries)
+            if fact_refs:
+                link, fallback = self._fact_link(fact_refs, q_ref, B, queries)
         else:
             link = self._entity_link(q_ref)
             fallback = set(range(B)) - set(link["query_idx"].tolist())
@@ -932,7 +1155,7 @@ class HippoRagEngine:
         results = []
         shard_tops: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if non_fallback:
-            if not getattr(self, "_kinds_loaded", False):
+            if not self._kinds_loaded:
                 ray.get([a.load_kinds.remote(g.vertices_path) for a in sg.actors])
                 self._kinds_loaded = True
             # one batched call per shard (not one per (query, shard) —
@@ -997,9 +1220,11 @@ class HippoRagEngine:
 
     def _build_views(self, g) -> None:
         """Cached vertex⋈embedding views (bucketed hash joins; nothing
-        materialized on the driver) — dropped by every write
-        (``_invalidate``) and rebuilt here by the next retrieve."""
-        if getattr(self, "_joined_views", None) is not None:
+        materialized on the driver), kept as densified pack refs only.
+        Built here by the first retrieve after a write that dropped
+        them (``_invalidate``); an incremental ``index`` appends to
+        them instead (``_append_views``)."""
+        if self._view_refs is not None:
             return
         from ..stages.shuffle import hash_join, int_key_sum
 
@@ -1035,21 +1260,22 @@ class HippoRagEngine:
         ent_full = hash_join(ent_joined, counts, "vid", how="left").materialize()
         # pinned PRE-DENSIFIED packs for the per-call serving waves:
         # numpy key/vid arrays + the (n, d) embedding matrix, converted
-        # ONCE per (re)index on the pool workers (the per-call np.stack
+        # ONCE per build on the pool workers (the per-call np.stack
         # over Arrow list rows measured 150-600 ms per block — the whole
         # retrieve budget) and split into ~pool-size row ranges so one
         # big materialized block cannot serialize a wave on a single
-        # worker.  Driver holds only refs; pack bytes stay in plasma.
-        # ORDER MATTERS: _joined_views is the cache sentinel and must be
-        # set LAST — a failure mid-densify would otherwise leave the
-        # sentinel set with _view_refs still pointing at the PREVIOUS
-        # graph's packs, and the next retrieve() would silently link
-        # stale vids against the new graph.
+        # worker.  Driver holds only refs; pack bytes stay in plasma,
+        # and the joined blocks are freed once densified.
+        # ORDER MATTERS: _view_refs is the cache sentinel and is set
+        # LAST, in one assignment — a failure mid-densify leaves it
+        # None, never pointing at the PREVIOUS graph's packs, so no
+        # retrieve() can link stale vids against the new graph.
+        self._view_rows["ent"] = [ent_full.count(), 0]
+        self._view_rows["chunk"] = [chunk_joined.count(), 0]
         self._view_refs = (
             self._densify_refs(ent_full.to_arrow_refs(), "ent"),
             self._densify_refs(chunk_joined.to_arrow_refs(), "chunk"),
         )
-        self._joined_views = (ent_full, chunk_joined)
 
     def _densify_refs(self, block_refs: list, kind: str) -> list:
         """Convert view blocks into serving packs on the worker pool:
@@ -1066,55 +1292,44 @@ class HippoRagEngine:
             out.extend([got] if per_block == 1 else got)
         return out
 
-    def _fact_joined(self):
+    def _fact_joined(self) -> list:
         """Cached fact view: fact embeddings ⋈ fact metadata
-        (subj_key/obj_key) via the bucketed hash join; None when the
-        fact table is empty."""
-        if getattr(self, "_fact_view", None) is None:
-            from ..stages.shuffle import hash_join
+        (subj_key/obj_key/content) via the bucketed hash join, kept as
+        densified pack refs ([] when there are no facts)."""
+        if self._fact_view is not None:
+            return self._fact_view
+        parts = self._fact_parts()
+        if not parts or self.fact_store.count() == 0:
+            self._view_rows["fact"] = [0, 0]
+            self._fact_view = []
+            return self._fact_view
+        from ..stages.shuffle import hash_distinct, hash_join
 
-            parts = self._fact_parts()
-            if not parts or self.fact_store.count() == 0:
-                self._fact_view = ()
-            else:
-                from ..stages.shuffle import hash_distinct
-
-                meta = hash_distinct(
-                    rd.read_parquet(
-                        # content = the human-readable fact string: the
-                        # rerank hook must show a real triple to the
-                        # LLM, not md5 endpoint keys
-                        parts,
-                        columns=["fact_key", "subj_key", "obj_key", "content"],
-                    ).materialize(),
-                    "fact_key",
-                )
-                embs = self.fact_store.dataset().map_batches(
-                    lambda b: pa.table(
-                        {"fact_key": b["hash_id"], "embedding": b["embedding"]}
-                    ),
-                    batch_format="pyarrow",
-                )
-                view = hash_join(
-                    embs.materialize(), meta.materialize(), "fact_key"
-                ).materialize()
-                self._fact_view = (
-                    view,
-                    self._densify_refs(view.to_arrow_refs(), "fact"),
-                )
-        return self._fact_view[0] if self._fact_view else None
-
-    def _fact_blocks(self) -> list:
-        self._fact_joined()
-        return self._fact_view[1] if self._fact_view else []
+        meta = hash_distinct(
+            rd.read_parquet(
+                # content = the human-readable fact string: the rerank
+                # hook must show a real triple to the LLM, not md5
+                # endpoint keys
+                parts,
+                columns=["fact_key", "subj_key", "obj_key", "content"],
+            ).materialize(),
+            "fact_key",
+        )
+        embs = self.fact_store.dataset().map_batches(
+            lambda b: pa.table({"fact_key": b["hash_id"], "embedding": b["embedding"]}),
+            batch_format="pyarrow",
+        )
+        view = hash_join(embs.materialize(), meta.materialize(), "fact_key").materialize()
+        self._view_rows["fact"] = [view.count(), 0]
+        self._fact_view = self._densify_refs(view.to_arrow_refs(), "fact")
+        return self._fact_view
 
     def _pool(self) -> list:
         """Lazy persistent _LinkWorker pool (see class docstring); sized
         to the session's cores, round-robined over block refs."""
-        if getattr(self, "_link_pool", None):
-            return self._link_pool
-        w = max(2, min(32, int(ray.cluster_resources().get("CPU", 8))))
-        self._link_pool = [_LinkWorkerActor.remote() for _ in range(w)]
+        if not self._link_pool:
+            w = max(2, min(32, int(ray.cluster_resources().get("CPU", 8))))
+            self._link_pool = [_LinkWorkerActor.remote() for _ in range(w)]
         return self._link_pool
 
     def _pool_map(self, method: str, argss, **opts) -> list:
@@ -1130,7 +1345,7 @@ class HippoRagEngine:
         return calls
 
     def _fact_link(
-        self, q_ref, B: int, queries: list[str] | None = None
+        self, fact_refs: list, q_ref, B: int, queries: list[str] | None = None
     ) -> tuple[pd.DataFrame, set[int]]:
         """Query -> fact candidates -> phrase (entity) reset weights:
 
@@ -1151,7 +1366,7 @@ class HippoRagEngine:
         cand = pa.concat_tables(
             ray.get(
                 self._pool_map(
-                    "fact_tile", [(r, q_ref, k) for r in self._fact_blocks()]
+                    "fact_tile", [(r, q_ref, k) for r in fact_refs]
                 )
             )
         ).to_pandas()
@@ -1470,6 +1685,6 @@ class HippoRagEngine:
 
     def close(self):
         self._invalidate(close=True)
-        for a in getattr(self, "_link_pool", None) or []:
+        for a in self._link_pool or []:
             ray.kill(a)
         self._link_pool = None

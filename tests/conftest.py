@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
+import time
 
 import pytest
 
@@ -25,6 +28,51 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+    # no Ray process (raylet, gcs_server, a worker or actor) may
+    # outlive the session: give them ~10 s to exit, then kill any
+    # survivor and fail naming it
+    deadline = time.monotonic() + 10.0
+    while (left := _descendants(os.getpid())) and time.monotonic() < deadline:
+        time.sleep(0.2)
+    for pid in left:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+    if left:
+        pytest.fail(
+            "processes outlived the test session (killed): "
+            + "; ".join(f"pid {p}: {c}" for p, c in sorted(left.items()))
+        )
+
+
+def _descendants(root: int) -> dict[int, str]:
+    """pid -> cmdline of every live (non-zombie) descendant of
+    ``root``, read from /proc."""
+    parent: dict[int, int] = {}
+    for d in os.listdir("/proc"):
+        if not d.isdigit():
+            continue
+        try:
+            with open(f"/proc/{d}/stat") as f:
+                stat = f.read()
+        except OSError:
+            continue
+        # fields after "(comm)": state, ppid, ...
+        state, ppid = stat[stat.rindex(")") + 2 :].split()[:2]
+        if state != "Z":
+            parent[int(d)] = int(ppid)
+    out: dict[int, str] = {}
+    frontier = {root}
+    while frontier:
+        frontier = {p for p, pp in parent.items() if pp in frontier and p not in out}
+        for p in frontier:
+            try:
+                with open(f"/proc/{p}/cmdline", "rb") as f:
+                    out[p] = f.read().replace(b"\0", b" ").decode(errors="replace").strip()
+            except OSError:
+                out[p] = "?"
+    return out
 
 
 @pytest.fixture(scope="session")

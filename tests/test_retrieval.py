@@ -284,3 +284,151 @@ def test_engine_pool_survives_writes(ray_session, tmp_path):
         check(syn, ids, synonymy=True)
     finally:
         syn.close()
+
+
+def _turns(tmp_path):
+    """Synthetic turns as one pandas frame, ordered by (conv, turn)."""
+    from hipporag_ray.synth import write_transcripts
+
+    d = write_transcripts(
+        str(tmp_path / "tx"), n_convs=12, turns_per_conv=10, vocab=150, seed=7,
+        shards=1,
+    )
+    return rd.read_parquet(d).to_pandas().sort_values(
+        ["conv_id", "turn_idx"], ignore_index=True
+    )
+
+
+def _cut(per_block):
+    """A ``_densify_refs`` that cuts every view block into ``per_block``
+    packs, whatever the session's CPU count."""
+
+    def _densify_refs(self, block_refs, kind):
+        pool = self._pool()
+        out = []
+        for i, r in enumerate(block_refs):
+            m = pool[i % len(pool)].densify.options(num_returns=per_block)
+            out.extend(m.remote(r, kind, per_block))
+        return out
+
+    return _densify_refs
+
+
+@pytest.mark.parametrize("facts", [True, False])
+def test_scores_do_not_depend_on_pack_cuts(ray_session, tmp_path, monkeypatch, facts):
+    """Appended packs are cut differently from a rebuild's, so retrieve
+    must give bit-equal docs and scores however the view rows are
+    sliced into packs."""
+    turns = _turns(tmp_path)
+    wd = str(tmp_path / "wd")
+    eng = HippoRagEngine(wd, facts=facts)
+    try:
+        eng.index(rd.from_pandas(turns))
+    finally:
+        eng.close()
+    queries = turns["text"].tolist()[::5][:96]
+    got = []
+    for per_block in (2, 7):
+        monkeypatch.setattr(HippoRagEngine, "_densify_refs", _cut(per_block))
+        eng = HippoRagEngine(wd, facts=facts)
+        try:
+            got.append(eng.retrieve(queries, top_k=5))
+        finally:
+            eng.close()
+    assert [r["docs"] for r in got[0]] == [r["docs"] for r in got[1]]
+    assert [r["doc_scores"] for r in got[0]] == [r["doc_scores"] for r in got[1]]
+
+
+def _packs(eng):
+    """The engine's serving packs, per kind, concatenated and sorted by
+    vid (entity, chunk) or by fact content."""
+    import ray
+
+    def cat(refs, key):
+        cols = list(zip(*ray.get(list(refs))))
+        out = [
+            np.concatenate([c for c in col if len(c)]) if any(len(c) for c in col) else col[0]
+            for col in cols
+        ]
+        order = np.argsort(out[key], kind="stable")
+        return [c[order] for c in out]
+
+    ent, chunk = eng._view_refs
+    out = {"ent": cat(ent, 1), "chunk": cat(chunk, 0)}
+    if eng._fact_view is not None:
+        out["fact"] = cat(eng._fact_view, 3)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(facts=True), dict(facts=False), dict(edge_source="triples")],
+    ids=["facts", "entities", "triples"],
+)
+def test_appended_views_equal_rebuild(ray_session, tmp_path, kw):
+    """An incremental index() appends its delta to the cached packs
+    instead of dropping them.  After an append, a re-append of indexed
+    turns and a second append, the live packs (n_chunks included) equal
+    a freshly built engine's, and so does retrieve."""
+    turns = _turns(tmp_path)
+    queries = turns["text"].tolist()[::7]
+    eng = HippoRagEngine(str(tmp_path / "wd"), **kw)
+    try:
+        eng.index(rd.from_pandas(turns.iloc[:80]))
+        eng.retrieve(queries, top_k=5)
+        for rows in (slice(80, 100), slice(0, 30), slice(100, 120)):
+            stats = eng.index(rd.from_pandas(turns.iloc[rows]))
+            assert set(stats["timers"]) == {"stores_s", "graph_s", "views_s"}
+            assert eng._view_refs is not None  # appended, not dropped
+            assert (eng._fact_view is not None) == eng.facts
+            got = eng.retrieve(queries, top_k=5)
+            assert eng.timers["views_s"] < 0.05  # nothing rebuilt
+            live = _packs(eng)
+            other = HippoRagEngine(eng.working_dir, **kw)
+            try:
+                want = other.retrieve(queries, top_k=5)
+                fresh = _packs(other)
+            finally:
+                other.close()
+            assert live.keys() == fresh.keys()
+            for kind in live:
+                for a, b in zip(live[kind], fresh[kind]):
+                    np.testing.assert_array_equal(a, b)
+            assert [r["docs"] for r in got] == [r["docs"] for r in want]
+            assert [r["doc_scores"] for r in got] == [r["doc_scores"] for r in want]
+    finally:
+        eng.close()
+
+
+def test_failed_or_oversized_append_drops_views(ray_session, tmp_path, monkeypatch):
+    """A failed append leaves the views dropped, never stale: index()
+    raises and the next retrieve rebuilds them.  An append larger than
+    the built views is not made either (the compaction rule)."""
+    turns = _turns(tmp_path)
+    queries = turns["text"].tolist()[::7]
+    eng = HippoRagEngine(str(tmp_path / "wd"))
+    try:
+        eng.index(rd.from_pandas(turns.iloc[:30]))
+        eng.retrieve(queries, top_k=5)
+
+        def boom(*a, **k):
+            raise RuntimeError("append failed")
+
+        with monkeypatch.context() as m:
+            m.setattr(HippoRagEngine, "_extend_refs", boom)
+            with pytest.raises(RuntimeError, match="append failed"):
+                eng.index(rd.from_pandas(turns.iloc[30:40]))
+        assert eng._view_refs is None and eng._fact_view is None
+        got = eng.retrieve(queries, top_k=5)
+        other = HippoRagEngine(eng.working_dir)
+        try:
+            want = other.retrieve(queries, top_k=5)
+        finally:
+            other.close()
+        assert [r["doc_scores"] for r in got] == [r["doc_scores"] for r in want]
+        assert [r["docs"] for r in got] == [r["docs"] for r in want]
+
+        eng.index(rd.from_pandas(turns.iloc[40:]))  # 80 new turns > 40 built
+        assert eng._view_refs is None
+    finally:
+        eng.close()
