@@ -56,11 +56,11 @@ import ray.data as rd
 from ..functions.hashing import md5_hex
 from ..functions.text import text_processing
 from ..algos.iterate import personalized_pagerank
-from ..stages.extract import ExtractMentions
 from ..stages.similarity import topk_tie_rows
-from ..stages.graph_build import build_graph, load_graph
+from ..stages.graph_build import ChunkToVertexRows, _to_chunk_rows, build_graph, load_graph
 from ..state.csr import ShardedGraph
 from ..state.embedding_store import EmbeddingStore, HashEmbedder
+from ..state.parts import block_columns, new_rows, walk_parts, write_rows
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +474,68 @@ def _surviving_fact_keys_in_part(path: str, probe_arr) -> list[str]:
 
 
 
+# fact table columns <- delta table columns
+_FACT_TABLE = {
+    "pair_key": "node_key",
+    "fact_key": "fact_key",
+    "chunk_key": "chunk_key",
+    "content": "content",
+    "subj_key": "subj_key",
+    "obj_key": "obj_key",
+}
+
+
+def _new_of_kind(keys: list[pa.Table], kind: str, col: str, parts: list[str], key_col: str):
+    """Per delta block, the positions of the rows to insert into a
+    store: the ``kind`` rows' ``col`` keys, probed against the stored
+    ``parts``' ``key_col`` (state/parts.py new_rows)."""
+    pos = [np.flatnonzero(pc.equal(k["kind"], kind).to_numpy(zero_copy_only=False)) for k in keys]
+    idx = new_rows(
+        [k[col].to_numpy(zero_copy_only=False)[p] for k, p in zip(keys, pos)], parts, key_col
+    )
+    return [p[i] for p, i in zip(pos, idx)]
+
+
+@ray.remote
+def _read_delta(path: str, min_token_len: int, facts: bool) -> pa.Table:
+    """One corpus part of new turns -> its rows of the write's delta
+    table, read once for every store and the graph: the graph's vertex
+    candidate rows (node_key, kind "chunk" | "entity", content;
+    ChunkToVertexRows), which are also the chunk and entity store rows
+    (hash_id = node_key), and with ``facts`` one row per (fact, chunk)
+    binding: kind "fact", node_key = the pair key, the triple string as
+    content, and the fact table's fact_key (the reference's
+    ``"fact-" + md5(str(tuple))``, embedding_store.py:44-61), chunk_key,
+    subj_key and obj_key."""
+    from ..functions.hashing import entity_key
+    from ..stages.triples import ExtractTriples, triple_content
+
+    chunks = _to_chunk_rows(pq.read_table(path, columns=["text"]))
+    rows = ChunkToVertexRows(min_token_len)(chunks)
+    if not facts:
+        return rows
+    tr = ExtractTriples(["chunk_key"], "text", min_token_len)(chunks)
+    content = pa.array(
+        triple_content(
+            *(tr[c].to_numpy(zero_copy_only=False) for c in ("subj", "pred", "obj"))
+        ),
+        pa.string(),
+    )
+    fact_key = md5_hex(content, prefix="fact-")
+    fact_rows = pa.table(
+        {
+            "node_key": pc.binary_join_element_wise(fact_key, tr["chunk_key"], "\x00"),
+            "kind": pa.array(["fact"] * tr.num_rows, pa.string()),
+            "content": content,
+            "fact_key": fact_key,
+            "chunk_key": tr["chunk_key"],
+            "subj_key": entity_key(tr["subj"]),
+            "obj_key": entity_key(tr["obj"]),
+        }
+    )
+    return pa.concat_tables([rows, fact_rows], promote_options="default")
+
+
 class HippoRagEngine:
     def __init__(
         self,
@@ -577,10 +639,7 @@ class HippoRagEngine:
     # ------------------------------------------------------------------
 
     def _corpus_parts(self) -> list[str]:
-        out = []
-        for root, _dirs, files in os.walk(self.corpus_dir):
-            out.extend(os.path.join(root, f) for f in files if f.endswith(".parquet"))
-        return sorted(out)
+        return walk_parts(self.corpus_dir)
 
     def _corpus_batch_dirs(self) -> list[str]:
         return sorted(
@@ -593,47 +652,77 @@ class HippoRagEngine:
         return rd.read_parquet(self._corpus_parts())
 
     def index(self, transcripts: "rd.Dataset") -> dict:
-        """Append new turns; store inserts are anti-join incremental and
-        the graph merges incrementally when one already exists
-        (build_graph_incremental) — old turns are never re-extracted.
+        """Append new turns and merge them into the stores and the graph
+        at the cost of the delta, not of the corpus.
+
+        The new turns are written to the corpus and read back ONCE into
+        a delta table of chunk, entity and fact rows (``_read_delta``,
+        one task per written part).  Every store insert and the graph
+        merge read from it: one key probe per store (state/parts.py)
+        finds the keys already stored, and each store embeds and writes
+        only its new rows.  When a graph exists the merge is incremental
+        (``merge_delta``: a key probe of the vertex dictionary, new
+        vertices as one new part) — old turns are never re-extracted.
+        An empty write changes nothing and returns zero counts.
+
         The shard pool is not respawned: like every write, this marks
         it stale (``_invalidate``), and the next retrieve reloads the
-        live shard actors in place.
+        live shard actors in place.  The serving views outlive an
+        incremental write: their packs are set aside, the write's delta
+        (new vertex, store, fact and passage-edge rows, read with
+        parquet filters) is appended to them (``_append_views``), and
+        they are put back only once the append succeeded, so the next
+        retrieve rebuilds nothing.  A rebuild write (synonymy mode, no
+        graph yet), a delta the append does not cover, appended rows
+        exceeding the rows of the last build, or an exception anywhere
+        leaves the views dropped for the next retrieve to rebuild.
 
-        The serving views outlive an incremental write: their packs are
-        set aside, the write's delta (new vertex, store, fact and
-        passage-edge rows, read with parquet filters) is appended to
-        them (``_append_views``), and they are put back only once the
-        append succeeded, so the next retrieve rebuilds nothing.  A
-        rebuild write (synonymy mode, no graph yet), a delta the append
-        does not cover, appended rows exceeding the rows of the last
-        build, or an exception anywhere leaves the views dropped for
-        the next retrieve to rebuild.  ``timers`` splits the wall into
-        ``stores_s`` (corpus + store inserts), ``graph_s`` and
-        ``views_s`` (the append)."""
+        ``timers`` splits the wall into ``stores_s`` (corpus + store
+        inserts), ``graph_s`` and ``views_s`` (the append); the
+        engine's ``timers`` attribute holds the finer split
+        ``corpus_s`` (corpus write + delta table), ``probe_s`` (store
+        key probes), ``embed_s`` (store and fact-table writes),
+        ``graph_s`` and ``views_s``."""
         import time as _time
 
         t0 = _time.perf_counter()
-        views = (self._view_refs, self._fact_view)
-        self._invalidate()
+        manifest = os.path.join(self.graph_dir, "manifest.json")
         # streamed corpus append: each index() call writes one batch
         # directory of parquet parts (never concatenated on the driver)
         batch_dir = os.path.join(
             self.corpus_dir, f"batch-{len(self._corpus_batch_dirs()):05d}"
         )
         transcripts.write_parquet(batch_dir)
-        new_ds = rd.read_parquet(batch_dir)
-        parts_before = self._store_parts()
-        n_chunks, n_entities = self._insert_stores(new_ds)
+        if not sum(pq.ParquetFile(p).metadata.num_rows for p in walk_parts(batch_dir)):
+            # nothing to write (Ray writes no part for 0 rows): stores,
+            # graph, views and pool stay as they are
+            shutil.rmtree(batch_dir, ignore_errors=True)
+            g = load_graph(self.graph_dir) if os.path.exists(manifest) else None
+            dt = _time.perf_counter() - t0
+            self.timers = {"corpus_s": dt, "probe_s": 0.0, "embed_s": 0.0, "graph_s": 0.0, "views_s": 0.0}
+            return {
+                "new_chunks": 0,
+                "new_entities": 0,
+                "n_vertices": g.n_vertices if g else 0,
+                "n_edges": g.n_edges if g else 0,
+                "n_syn_edges": 0,
+                "timers": {"stores_s": dt, "graph_s": 0.0, "views_s": 0.0},
+            }
+        views = (self._view_refs, self._fact_view)
+        self._invalidate()
+        refs, keys = self._delta(walk_parts(batch_dir))
         t1 = _time.perf_counter()
-        manifest = os.path.join(self.graph_dir, "manifest.json")
+        parts_before = self._store_parts()
+        n_chunks, n_entities, probe_s = self._insert_stores(refs, keys)
+        t2 = _time.perf_counter()
         incremental = os.path.exists(manifest) and not self.synonymy
         if incremental:
-            from ..stages.graph_build import build_graph_incremental, load_graph
+            from ..stages.graph_build import merge_delta
 
             old = load_graph(self.graph_dir)
-            g = build_graph_incremental(
-                new_ds,
+            g = merge_delta(
+                refs,
+                keys,
                 old,
                 self.graph_dir,
                 self.min_token_len,
@@ -648,9 +737,17 @@ class HippoRagEngine:
                 edge_source=self.edge_source,
             )
             n_syn = self._add_synonymy_edges(g) if self.synonymy else 0
-        t2 = _time.perf_counter()
+        t3 = _time.perf_counter()
         if incremental:
             self._append_views(views, parts_before, old.n_vertices, g)
+        t4 = _time.perf_counter()
+        self.timers = {
+            "corpus_s": t1 - t0,
+            "probe_s": probe_s,
+            "embed_s": t2 - t1 - probe_s,
+            "graph_s": t3 - t2,
+            "views_s": t4 - t3,
+        }
         return {
             "new_chunks": n_chunks,
             "new_entities": n_entities,
@@ -658,12 +755,17 @@ class HippoRagEngine:
             # match the on-disk manifest, which _add_synonymy_edges bumps
             "n_edges": g.n_edges + n_syn,
             "n_syn_edges": n_syn,
-            "timers": {
-                "stores_s": t1 - t0,
-                "graph_s": t2 - t1,
-                "views_s": _time.perf_counter() - t2,
-            },
+            "timers": {"stores_s": t2 - t0, "graph_s": t3 - t2, "views_s": t4 - t3},
         }
+
+    def _delta(self, parts: list[str]) -> tuple[list, list[pa.Table]]:
+        """Read new turns once into the write's delta table, one task per
+        corpus part: refs of its blocks, and per block its keys
+        (node_key, kind, fact_key) on the driver — delta-sized, like
+        every key a write probes with."""
+        refs = [_read_delta.remote(p, self.min_token_len, self.facts) for p in parts]
+        cols = ["node_key", "kind"] + (["fact_key"] if self.facts else [])
+        return refs, block_columns(refs, cols)
 
     def _store_parts(self) -> dict[str, set[str]]:
         """Part files of every append-only store, per store: a write's
@@ -768,88 +870,43 @@ class HippoRagEngine:
                 )
         return out
 
-    def _insert_stores(self, ds: "rd.Dataset") -> tuple[int, int]:
-        n_chunks = self.chunk_store.insert_strings(
-            ds.map_batches(
-                lambda b: pa.table({"content": b["text"]}), batch_format="pyarrow"
-            )
-        )
-        mentions = ds.map_batches(
-            ExtractMentions(self.min_token_len, include_role_tool=False),
-            batch_format="pyarrow",
-        )
-        n_entities = self.entity_store.insert_strings(
-            mentions.map_batches(
-                lambda b: pa.table({"content": b["entity"]}), batch_format="pyarrow"
-            )
-        )
-        if self.facts:
-            self._insert_facts(ds)
-        return n_chunks, n_entities
-
-    def _fact_parts(self) -> list[str]:
-        from ..state.parts import walk_parts
-
-        return walk_parts(self.facts_dir)
-
-    def _insert_facts(self, ds: "rd.Dataset") -> int:
-        """Extract deterministic triples from the new turns, dedup by
-        fact key, anti-join against the stored fact table (J3), append
-        the new rows and embed them into the fact namespace — the
-        reference's fact-store insert (HippoRAG.py:262-263).
+    def _insert_stores(self, refs: list, keys: list[pa.Table]) -> tuple[int, int, float]:
+        """Insert a delta table's new rows into the chunk, entity and
+        fact stores and the fact table — the reference's store inserts
+        (HippoRAG.py:218-263).  One key probe per store first, then one
+        embed-and-write per store over its new rows.  Returns the new
+        chunk and entity counts and the seconds spent probing.
 
         The fact table rows carry ``subj_key`` / ``obj_key`` (entity
         node keys) so query-time fact->entity mapping
-        (HippoRAG.py:1446-1481) is a plain join, never a re-parse."""
-        from ..functions.hashing import entity_key as _ekey
-        from ..state.parts import new_rows_vs_parts, next_batch_dir
-        from ..stages.triples import extract_triples, fact_rows
+        (HippoRAG.py:1446-1481) is a plain join, never a re-parse;
+        they are keyed by the (fact, chunk) pair so an incremental
+        delete can drop a chunk's facts."""
+        import time as _time
 
-        with_ck = ds.map_batches(
-            lambda b: pa.table(
-                {"chunk_key": md5_hex(b["text"], prefix="chunk-"), "text": b["text"]}
-            ),
-            batch_format="pyarrow",
-        )
-        tr = extract_triples(with_ck, ["chunk_key"], min_token_len=self.min_token_len)
-        rows = fact_rows(tr)
+        t0 = _time.perf_counter()
+        stores = [(self.chunk_store, "chunk", "node_key"), (self.entity_store, "entity", "node_key")]
+        if self.facts:
+            stores.append((self.fact_store, "fact", "fact_key"))
+            table_idx = _new_of_kind(keys, "fact", "node_key", self._fact_parts(), "pair_key")
+        picks = [
+            (store, col, _new_of_kind(keys, kind, col, store._parts(), "hash_id"))
+            for store, kind, col in stores
+        ]
+        t1 = _time.perf_counter()
+        counts = [
+            store.write_rows(refs, idx, {"hash_id": col, "content": "content"})
+            for store, col, idx in picks
+        ]
+        if self.facts and any(len(i) for i in table_idx):
+            write_rows(refs, table_idx, _FACT_TABLE, self.facts_dir)
+        return counts[0], counts[1], t1 - t0
 
-        def add_keys(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as _pc
-
-            return pa.table(
-                {
-                    # (fact, chunk) binding — rows are keyed by the pair
-                    # so incremental delete can drop a chunk's facts and
-                    # detect facts with no surviving source chunk
-                    "pair_key": _pc.binary_join_element_wise(
-                        batch["fact_key"], batch["chunk_key"], "\x00"
-                    ),
-                    "fact_key": batch["fact_key"],
-                    "chunk_key": batch["chunk_key"],
-                    "content": batch["content"],
-                    "subj_key": _ekey(batch["subj"]),
-                    "obj_key": _ekey(batch["obj"]),
-                }
-            )
-
-        keyed = rows.map_batches(add_keys, batch_format="pyarrow")
-        new_rows = new_rows_vs_parts(
-            keyed, "pair_key", self._fact_parts()
-        ).materialize()
-        n_new = new_rows.count()
-        if n_new:
-            new_rows.write_parquet(next_batch_dir(self.facts_dir))
-            self.fact_store.insert_strings(
-                new_rows.map_batches(
-                    lambda b: pa.table({"content": b["content"]}),
-                    batch_format="pyarrow",
-                )
-            )
-        return n_new
+    def _fact_parts(self) -> list[str]:
+        return walk_parts(self.facts_dir)
 
     def _reindex(self) -> dict:
-        n_chunks, n_entities = self._insert_stores(self.corpus())
+        n_chunks, n_entities, _ = self._insert_stores(*self._delta(self._corpus_parts()))
         self._invalidate()
         shutil.rmtree(self.graph_dir, ignore_errors=True)
         g = build_graph(

@@ -1239,83 +1239,128 @@ def build_graph_incremental(
     struct_keys: bool | None = None,
 ) -> GraphTables:
     """Merge new turns into an existing graph without re-extracting the
-    old corpus (the reference's incremental indexing: insert-time
-    anti-joins, HippoRAG.py:218-278 + embedding_store.py:63-90).
+    old corpus (the reference's incremental indexing: insert-time key
+    checks, HippoRAG.py:218-278 + embedding_store.py:63-90).
 
+    The new turns are read once into vertex candidate rows (chunk rows
+    plus their entity rows, :class:`ChunkToVertexRows`), and
+    :func:`merge_delta` does the rest:
+
+    * one key probe of ``vertices/`` (state/parts.py) with the
+      candidates' distinct keys returns the stored (node_key, vid)
+      hits; the old vertex table is neither materialized nor
+      collected;
     * chunks already present (by content hash) are skipped — their
       co-occurrences were counted once and stay counted once;
     * existing vids are stable; new vertices get vids
-      ``[n_old, n_old+k)`` assigned by sort among themselves (a full
-      rebuild instead sorts globally — same graph up to vid
-      permutation, verified in tests);
+      ``[n_old, n_old+k)`` in node_key order, written as ONE new part
+      of ``vertices/`` (a full rebuild instead sorts globally — same
+      graph up to vid permutation, verified in tests);
     * edge state merges at the edge-table level: the old decoded edge
       table is re-encoded with the new vertex count and summed with the
       new chunks' partials through the same int-key shuffle; the
       adjacency is re-expanded and re-sorted.
 
-    At scale this touches edge-table-sized data only — the raw old
-    transcripts are never re-read.
+    The raw old transcripts are never re-read, and the driver holds
+    delta-sized keys, hits and new vertex rows only.
     """
-    from .shuffle import hash_distinct, int_key_sum, range_sort
+    from ..state.parts import block_columns
 
-    os.makedirs(out_dir, exist_ok=True)
     # the graph's manifest records how its edges were produced — the
     # incremental math must match it regardless of the caller's config
     # (min_token_len too: a mismatch desyncs the new partials from the
     # stored vertex vocabulary)
     with open(os.path.join(graph.out_dir, "manifest.json")) as _f:
+        min_token_len = json.load(_f).get("min_token_len", min_token_len)
+    refs = (
+        new_transcripts.map_batches(_to_chunk_rows, batch_format="pyarrow")
+        .map_batches(ChunkToVertexRows(min_token_len), batch_format="pyarrow")
+        .materialize()
+        .to_arrow_refs()
+    )
+    return merge_delta(
+        refs,
+        block_columns(refs, ["node_key", "kind"]),
+        graph,
+        out_dir,
+        min_token_len,
+        edge_source,
+        broadcast_vertex_limit,
+        struct_keys,
+    )
+
+
+def _vertex_parts(vdir: str, n_old: int) -> tuple[list[str], list[str]]:
+    """(committed, stale) part files of a vertex table whose manifest
+    says ``n_old`` vertices.  An incremental write adds its new
+    vertices as ``delta-<first vid>.parquet`` and commits them with the
+    manifest, so a delta part starting at or past ``n_old`` is left over
+    from a write that never committed."""
+    from ..state.parts import walk_parts
+
+    committed, stale = [], []
+    for p in walk_parts(vdir):
+        name = os.path.basename(p)
+        if name.startswith("delta-") and int(name[6:-8]) >= n_old:
+            stale.append(p)
+        else:
+            committed.append(p)
+    return committed, stale
+
+
+def merge_delta(
+    refs: list,
+    keys: list[pa.Table],
+    graph: GraphTables,
+    out_dir: str,
+    min_token_len: int = 3,
+    edge_source: str = "cooccur",
+    broadcast_vertex_limit: int = 5_000_000,
+    struct_keys: bool | None = None,
+) -> GraphTables:
+    """The body of :func:`build_graph_incremental` over materialized
+    delta blocks: ``refs`` hold vertex candidate rows (node_key, kind,
+    content; rows of any other kind are ignored) and ``keys[b]`` is
+    block ``b``'s (node_key, kind) on the driver.  The manifest stays
+    the commit point: a retry into the same ``out_dir`` first drops the
+    uncommitted delta part, so it never duplicates vertex rows."""
+    import shutil as _sh
+
+    from .. import schema as _schema
+    from ..state.parts import first_rows, probe_keys, take_rows
+
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(graph.out_dir, "manifest.json")) as _f:
         _m = json.load(_f)
     edge_source = _m.get("edge_source", edge_source)
     min_token_len = _m.get("min_token_len", min_token_len)
-    old_vertices = graph.vertices().materialize()
-    n_old_keys = int(graph.n_vertices)
-    broadcast_keys = n_old_keys <= broadcast_vertex_limit
-    if broadcast_keys:
-        old_keys = np.sort(
-            old_vertices.select_columns(["node_key"]).to_pandas()["node_key"].to_numpy()
-        )
-        old_keys_ref = ray.put(old_keys)
-        is_chunk_key = np.char.startswith(old_keys.astype(str), "chunk-")
-        old_chunks_ref = ray.put(old_keys[is_chunk_key])
+    n_old = int(graph.n_vertices)
+    in_place = os.path.abspath(out_dir) == os.path.abspath(graph.out_dir)
+    committed, stale = _vertex_parts(graph.vertices_path, n_old)
+    if in_place:
+        for p in stale:
+            os.unlink(p)
 
-    # --- new, unseen chunks only (anti join on content hash): broadcast
-    # np.isin membership while the key set fits, distributed leftanti
-    # hash join against the stored vertex keys beyond the limit (the
-    # same fallback policy as the vertex-dictionary resolution below) ---
-    if broadcast_keys:
-
-        def anti(batch: pa.Table) -> pa.Table:
-            seen = ray.get(old_chunks_ref)
-            keys = batch["chunk_key"].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(~np.isin(keys, seen)))
-
-        chunks_new = (
-            dedup_chunks(new_transcripts)
-            .map_batches(anti, batch_format="pyarrow")
-            .materialize()
-        )
-    else:
-        from .shuffle import hash_join as _hash_join
-
-        old_chunk_keys = old_vertices.map_batches(
-            lambda b: pa.table(
-                {
-                    "chunk_key": b.filter(pc.equal(b["kind"], "chunk"))["node_key"],
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        chunks_new = _hash_join(
-            dedup_chunks(new_transcripts).materialize(),
-            old_chunk_keys.materialize(),
-            "chunk_key",
-            how="leftanti",
-        ).materialize()
-    if chunks_new.count() == 0:
+    # --- one key probe: which candidates are stored vertices ---
+    pos = [
+        np.flatnonzero(pc.is_in(k["kind"], pa.array(["chunk", "entity"])).to_numpy(
+            zero_copy_only=False
+        ))
+        for k in keys
+    ]
+    cand = [k["node_key"].to_numpy(zero_copy_only=False)[p] for k, p in zip(keys, pos)]
+    flat = np.concatenate(cand) if cand else np.zeros(0, object)
+    hits = probe_keys(committed, "node_key", np.unique(flat), ("vid",))
+    hit_key = hits["node_key"].to_numpy(zero_copy_only=False)
+    hit_vid = hits["vid"].to_numpy(zero_copy_only=False).astype(np.int64)
+    idx = [p[i] for p, i in zip(pos, first_rows(cand, hit_key))]
+    vnew = ray.get(
+        take_rows(refs, idx, {"node_key": "node_key", "kind": "kind", "content": "content"})
+    )
+    vnew = pa.concat_tables(vnew) if vnew else _schema.VERTICES.empty_table().drop(["vid"])
+    if not pc.any(pc.equal(vnew["kind"], "chunk")).as_py():
         # nothing new: copy-through (same directory contract)
-        if os.path.abspath(out_dir) != os.path.abspath(graph.out_dir):
-            import shutil as _sh
-
+        if not in_place:
             for sub in ("vertices", "edges", "adj", "manifest.json"):
                 src = os.path.join(graph.out_dir, sub)
                 dst = os.path.join(out_dir, sub)
@@ -1329,60 +1374,45 @@ def build_graph_incremental(
                 (_sh.copytree if os.path.isdir(src) else _sh.copy)(src, dst)
         return load_graph(out_dir)
 
-    # --- new vertices appended after the existing id range (same
-    # broadcast-vs-leftanti policy as the chunk anti join above) ---
-    vrows = chunks_new.map_batches(ChunkToVertexRows(min_token_len), batch_format="pyarrow")
-
-    n_old = graph.n_vertices
-    if broadcast_keys:
-
-        def anti_v(batch: pa.Table) -> pa.Table:
-            seen = ray.get(old_keys_ref)
-            keys = batch["node_key"].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(~np.isin(keys, seen)))
-
-        vrows_new = vrows.map_batches(anti_v, batch_format="pyarrow").materialize()
-    else:
-        from .shuffle import hash_join as _hash_join
-
-        vrows_new = _hash_join(
-            vrows.materialize(),
-            old_vertices.select_columns(["node_key"]).materialize(),
-            "node_key",
-            how="leftanti",
-        ).materialize()
-    vnew = hash_distinct(vrows_new, "node_key")
-    vnew_ids = assign_dense_ids(vnew, "node_key", "vid").map_batches(
-        lambda b: b.set_column(
-            b.column_names.index("vid"),
-            "vid",
-            pa.array(b["vid"].to_numpy(zero_copy_only=False) + n_old, type=pa.int64()),
-        ),
-        batch_format="pyarrow",
-    )
-    vertices = old_vertices.union(vnew_ids.select_columns(old_vertices.schema().names)).materialize()
-    n_vertices = vertices.count()
+    # --- new vertices: vids n_old + rank in node_key order, one part ---
+    vnew = vnew.sort_by("node_key")
+    vnew = vnew.append_column(
+        "vid", pa.array(np.arange(n_old, n_old + vnew.num_rows), pa.int64())
+    ).cast(_schema.VERTICES)
+    n = n_old + vnew.num_rows
     vdir = os.path.join(out_dir, "vertices")
-    # clear unconditionally (not only for in-place rebuilds): Ray's
-    # write_parquet APPENDS, so a retry into a pre-existing out_dir
-    # would otherwise leave two full copies of every vertex row behind
-    # a manifest claiming the fresh count — the same hazard the
-    # edges/adj writes below already guard against
-    import shutil as _sh
+    if not in_place:
+        # Ray's write_parquet APPENDS: a retry into a pre-existing
+        # out_dir must not keep a previous run's vertex rows
+        _sh.rmtree(vdir, ignore_errors=True)
+        os.makedirs(vdir)
+        for p in committed:
+            dst = os.path.join(vdir, os.path.relpath(p, graph.vertices_path))
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            _sh.copy(p, dst)
+    pq.write_table(vnew, os.path.join(vdir, f"delta-{n_old:012d}.parquet"))
 
-    _sh.rmtree(vdir, ignore_errors=True)
-    _write_table_dir(vertices, vdir, "vertices")
-
-    # --- new partials + re-encoded old edges, one merged sum ---
-    # vertex resolution: broadcast while the dictionary fits, bucketed
-    # hash-join path beyond the limit (same fallback as build_graph)
-    n = int(n_vertices)
+    # --- new chunks' partials from a delta-sized dictionary: the
+    # stored hits plus the new vids.  Broadcast while it fits, bucketed
+    # hash-join path beyond the limit (same fallback as build_graph) ---
+    vmap = pa.table(
+        {
+            "node_key": pa.concat_arrays(
+                [pa.array(hit_key, pa.string()), vnew["node_key"].combine_chunks()]
+            ),
+            "vid": pa.array(np.concatenate([hit_vid, vnew["vid"].to_numpy()]), pa.int64()),
+        }
+    )
+    chunk_idx = [
+        i[pc.equal(k["kind"], "chunk").to_numpy(zero_copy_only=False)[i]]
+        for k, i in zip(keys, idx)
+    ]
+    chunks_new = rd.from_arrow_refs(
+        take_rows(refs, chunk_idx, {"chunk_key": "node_key", "text": "content"}, 2048)
+    )
     struct = _use_struct_keys(n, struct_keys)
-    if n <= broadcast_vertex_limit:
-        vmap = vertices.select_columns(["node_key", "vid"]).to_pandas().set_index(
-            "node_key"
-        )["vid"]
-        vmap_ref = ray.put(vmap)
+    if vmap.num_rows <= broadcast_vertex_limit:
+        vmap_ref = ray.put(vmap.to_pandas().set_index("node_key")["vid"])
         partials_new = chunks_new.map_batches(
             ChunkToIntEdgePartials(vmap_ref, n, min_token_len, edge_source, struct),
             batch_format="pyarrow",
@@ -1390,7 +1420,7 @@ def build_graph_incremental(
         )
     else:
         partials_new = _partials_via_join(
-            chunks_new, vertices, n, min_token_len, edge_source, struct
+            chunks_new, rd.from_arrow(vmap), n, min_token_len, edge_source, struct
         )
 
     merged = partials_new.union(
@@ -1405,10 +1435,7 @@ def build_graph_incremental(
     ).materialize()
     n_edges = edges.count()
     for sub in ("edges", "adj"):
-        d = os.path.join(out_dir, sub)
-        import shutil as _sh
-
-        _sh.rmtree(d, ignore_errors=True)
+        _sh.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
     return _write_edges_adj_manifest(
-        edges, out_dir, int(n_vertices), n_edges, min_token_len, edge_source
+        edges, out_dir, n, n_edges, min_token_len, edge_source
     )

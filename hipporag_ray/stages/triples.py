@@ -163,32 +163,6 @@ def fact_edge_weights(triples: "rd.Dataset") -> "rd.Dataset":
     )
 
 
-def fact_rows(triples: "rd.Dataset") -> "rd.Dataset":
-    """Triple rows -> fact-store rows (fact_key, content) in the
-    reference's key/content format (``"fact-" + md5(str(tuple))``,
-    embedding_store.py:44-61).  Any id columns on the input (e.g.
-    chunk_key — needed for incremental delete) pass through."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        content = triple_content(
-            batch["subj"].to_numpy(zero_copy_only=False),
-            batch["pred"].to_numpy(zero_copy_only=False),
-            batch["obj"].to_numpy(zero_copy_only=False),
-        )
-        cols = {
-            "fact_key": md5_hex(content, prefix="fact-"),
-            "content": pa.array(content, pa.string()),
-            "subj": batch["subj"],
-            "obj": batch["obj"],
-        }
-        for c in batch.column_names:
-            if c not in ("subj", "pred", "obj"):
-                cols[c] = batch[c]
-        return pa.table(cols)
-
-    return triples.map_batches(fn, batch_format="pyarrow")
-
-
 def triple_to_docs(triples: "rd.Dataset", doc_col: str) -> "rd.Dataset":
     """J5 reverse index: distinct (fact_key, doc) rows — the
     ``proc_triples_to_docs`` map (HippoRAG.py:1212-1219) kept as a

@@ -50,6 +50,7 @@ process, HippoRAG.py:1205-1208).
 from __future__ import annotations
 
 import os
+import weakref
 
 import numpy as np
 import pyarrow as pa
@@ -1190,6 +1191,11 @@ def _trim(actors: list, n: int) -> list:
     return actors[:n]
 
 
+# this process's shard pools; each reserves CPUs out of what the
+# others leave (see ShardedGraph._reload)
+_POOLS: "weakref.WeakSet[ShardedGraph]" = weakref.WeakSet()
+
+
 class ShardedGraph:
     """Pool of GraphShard actors covering the full vid range."""
 
@@ -1218,6 +1224,7 @@ class ShardedGraph:
         self.actors: list = []
         self.assemblers: list = []
         self.cpu_per_shard: float | None = None
+        _POOLS.add(self)
         self.reload(adj_path, n_vertices)
 
     def reload(self, adj_path: str, n_vertices: int) -> None:
@@ -1316,16 +1323,29 @@ class ShardedGraph:
         #   while 10 actors held 10 x 0.8 CPUs).  Reservations don't
         #   bind threads, so leaving one core of headroom costs no
         #   iteration throughput.
-        if n_shards < cpus:
+        # * sized against what this process's other live pools leave:
+        #   counting the whole cluster let two live pools (two engines
+        #   in one 2-CPU session) reserve every CPU between them and
+        #   starve the routing tasks.  Not the cluster's available
+        #   count: it lags a killed pool's release, so a pool made right
+        #   after another's shutdown sized itself against stale numbers.
+        #   A live pool keeps its reservation while it still fits, so a
+        #   write never respawns the actors.  Whole CPUs, or a budget of
+        #   1 + 1e-9 would ask for a reservation finer than Ray's unit.
+        others = sum(p.cpu_per_shard * len(p.actors) for p in _POOLS if p is not self and p.actors)
+        budget = int(cpus - others + 1e-6)
+        if self.actors and n_shards * self.cpu_per_shard <= budget - 1:
+            cpu_per_shard = self.cpu_per_shard
+        elif n_shards <= budget - 1:
             cpu_per_shard = 1
         else:
-            # (cpus - 1) split across shards keeps the total reservation
-            # STRICTLY below the cluster at every size — at cpus == 1
-            # this is zero (reservations don't bind threads, so shards
-            # still compute; the single core stays schedulable for the
-            # default 1.0-CPU readback/routing tasks that would
-            # otherwise deadlock behind a full reservation)
-            cpu_per_shard = (cpus - 1) / n_shards
+            # (budget - 1) split across shards keeps the total
+            # reservation STRICTLY below what is free at every size — at
+            # one free CPU this is zero (reservations don't bind
+            # threads, so shards still compute; the core stays
+            # schedulable for the default 1.0-CPU readback/routing tasks
+            # that would otherwise deadlock behind a full reservation)
+            cpu_per_shard = max(0.0, budget - 1) / n_shards
         if cpu_per_shard != self.cpu_per_shard:
             # live actors hold the old per-shard reservation
             self.shutdown()

@@ -5,9 +5,9 @@ Re-expression of the reference's EmbeddingStore
 (/root/reference/src/hipporag/embedding_store.py):
 
 * rows keyed ``prefix + md5(content)`` (embedding_store.py:44-61),
-* ``insert_strings`` embeds only keys not yet present — a left anti
-  join on hash_id (embedding_store.py:63-90, J3) — and is therefore
-  idempotent and incremental,
+* ``insert_strings`` embeds only keys not yet present — a key probe
+  of the stored hash_id column (embedding_store.py:63-90, J3;
+  state/parts.py) — and is therefore idempotent and incremental,
 * storage is parquet with ``embedding: list<float32>``
   (embedding_store.py:109-115).
 
@@ -275,21 +275,20 @@ class EmbeddingStore:
 
     def existing_ids(self) -> set[str]:
         """Driver-side key set — only for small-result call sites (the
-        delete fixpoint); inserts use the distributed anti-join below."""
+        delete fixpoint); inserts use the key probe below."""
         ids: set[str] = set()
         for p in self._parts():
             ids.update(pq.read_table(p, columns=["hash_id"])["hash_id"].to_pylist())
         return ids
 
     def insert_strings(self, ds: "rd.Dataset", content_col: str = "content") -> int:
-        """Embed & persist rows whose md5 key is not yet stored — a
-        distributed left anti join on hash_id against the stored parts
-        (J3, embedding_store.py:63-90; the stored key column is never
-        collected to the driver), with first-wins exact dedup within
-        the incoming batch.  Returns the number of new rows written."""
-        import ray
-
-        from .parts import new_rows_vs_parts
+        """Embed & persist rows whose md5 key is not yet stored (J3,
+        embedding_store.py:63-90): the keyed rows are materialized once,
+        a key probe finds which of their keys the stored parts hold
+        (state/parts.py; the stored keys never reach the driver), and
+        the first row of every other key is embedded and written.
+        Returns the number of new rows written."""
+        from .parts import block_columns, new_rows
 
         prefix = self.prefix
 
@@ -299,40 +298,52 @@ class EmbeddingStore:
                 {"hash_id": md5_hex(content, prefix=prefix), "content": content}
             )
 
-        new_rows = new_rows_vs_parts(
-            ds.map_batches(keyed, batch_format="pyarrow"), "hash_id", self._parts()
-        )
-        # the distinct exchange can emit ONE large block (its partition
-        # heuristic optimizes the shuffle, not this consumer) — an
-        # explicit batch_size splits it so embedding parallelizes.
+        refs = ds.map_batches(keyed, batch_format="pyarrow").materialize().to_arrow_refs()
+        keys = [
+            t["hash_id"].to_numpy(zero_copy_only=False)
+            for t in block_columns(refs, ["hash_id"])
+        ]
+        idx = new_rows(keys, self._parts(), "hash_id")
+        return self.write_rows(refs, idx, {"hash_id": "hash_id", "content": "content"})
+
+    def write_rows(self, refs: list, idx: list[np.ndarray], columns: dict) -> int:
+        """Embed & persist rows ``idx[b]`` of each materialized block
+        ``refs[b]`` — rows whose keys a probe found new (see
+        ``insert_strings``).  ``columns`` maps the stored (hash_id,
+        content) columns to the block's.  One ``map_batches(embedder)
+        -> write_parquet``; the row count is known before embedding.
+        Returns the number of rows written."""
+        from .parts import next_batch_dir, take_rows
+
+        n_new = sum(len(i) for i in idx)
+        if n_new == 0:
+            return 0
+        # pieces of one embed batch each: the new rows of a big insert
+        # sit in few blocks, and map_batches parallelizes over blocks.
         # Stateless embedders (no model load) run task-based on warm
         # workers: actor-pool launch latency was the dominant cost of
         # small/medium inserts
         bsz = self.embed_batch_size or 512
+        new = rd.from_arrow_refs(take_rows(refs, idx, columns, bsz))
         if getattr(self.embedder_cls, "STATELESS", False) and self.num_gpus == 0:
-            embedded = new_rows.map_batches(
+            embedded = new.map_batches(
                 self.embedder_cls(**{**self.embedder_kwargs, "text_col": "content"}),
                 batch_format="pyarrow",
                 batch_size=bsz,
-            ).materialize()
+            )
         else:
             embed_opts = {}
             if self.num_gpus > 0:
                 embed_opts["num_gpus"] = self.num_gpus
-            embedded = new_rows.map_batches(
+            embedded = new.map_batches(
                 self.embedder_cls,
                 fn_constructor_kwargs={**self.embedder_kwargs, "text_col": "content"},
                 batch_format="pyarrow",
                 batch_size=bsz,
                 concurrency=pool_size(),
                 **embed_opts,
-            ).materialize()
-        n_new = embedded.count()
-        if n_new == 0:
-            return 0
+            )
         # streamed append: one subdirectory of parts per insert call
-        from .parts import next_batch_dir
-
         embedded.write_parquet(next_batch_dir(self.dir))
         return n_new
 

@@ -419,3 +419,71 @@ def test_shard_reload_clears_state(tmp_path):
     for key in want:
         assert same(got[key], want[key]), key
 
+
+
+_TWO_POOLS = """
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import ray
+from ray.data import DataContext
+
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+try:
+    DataContext.get_current().enable_progress_bars = False
+    from hipporag_ray.algos.iterate import personalized_pagerank
+    from hipporag_ray.state.csr import ShardedGraph
+
+    pools = []
+    try:
+        for _ in range(2):
+            pools.append(ShardedGraph(sys.argv[2], int(sys.argv[3]), n_shards=1))
+        s, _m = personalized_pagerank(
+            pools[1], resets=[(np.array([0, 1]), 1.0)], n_queries=1
+        )
+        print(json.dumps({"reserved": [p.cpu_per_shard for p in pools], "mass": float(s.sum())}))
+    finally:
+        for p in pools:
+            p.shutdown()
+finally:
+    ray.shutdown()
+"""
+
+
+def test_two_live_pools_leave_a_cpu_for_routing(tmp_path):
+    """Two live shard pools in one 2-CPU session (two engines, or an
+    engine plus a fresh pool) must leave a CPU free for the 1-CPU
+    reset-routing tasks of a list-reset PPR: each pool sizes its
+    reservation against the CPUs still available.  Run in its own Ray
+    session; on a timeout the whole process group (driver, raylet,
+    workers) is killed."""
+    import json
+    import signal
+    import subprocess
+    import sys
+
+    n = 300
+    path = str(tmp_path / "adj")
+    _write_graph(path, n, seed=9)
+    script = tmp_path / "two_pools.py"
+    script.write_text(_TWO_POOLS)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, str(script), repo, path, str(n)],
+        cwd=repo,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("PPR starved behind two live pools' CPU reservations")
+    assert proc.returncode == 0, err[-3000:]
+    got = json.loads(out.strip().splitlines()[-1])
+    assert sum(got["reserved"]) <= 1  # one CPU of two stays free
+    assert got["mass"] > 0

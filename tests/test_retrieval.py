@@ -432,3 +432,38 @@ def test_failed_or_oversized_append_drops_views(ray_session, tmp_path, monkeypat
         assert eng._view_refs is None
     finally:
         eng.close()
+
+
+def test_empty_index_changes_nothing(ray_session, tmp_path):
+    """index() of an empty Dataset returns zero counts and leaves the
+    corpus, stores, graph, serving views and shard pool untouched (Ray
+    writes no corpus part for 0 rows; the write used to raise
+    FileNotFoundError after it had already dropped the views)."""
+    import os
+
+    eng = HippoRagEngine(str(tmp_path / "wd"), dim=32)
+    try:
+        st = eng.index(_tx([]))
+        assert (st["new_chunks"], st["new_entities"], st["n_vertices"], st["n_edges"]) == (0, 0, 0, 0)
+        assert os.listdir(eng.corpus_dir) == []
+        assert not os.path.exists(os.path.join(eng.graph_dir, "manifest.json"))
+
+        full = eng.index(_tx(CORPUS_A))
+        eng.retrieve(["alpha beta"], top_k=3)
+        ids = [a._actor_id for a in eng._sg.actors]
+        views = (eng._view_refs, eng._fact_view)
+        before = {
+            d: sorted(os.listdir(os.path.join(eng.working_dir, d)))
+            for d in ("corpus", "vdb_chunk", "vdb_entity", "vdb_fact", "facts", "graph")
+        }
+        st = eng.index(_tx([]))
+        assert (st["new_chunks"], st["new_entities"]) == (0, 0)
+        assert (st["n_vertices"], st["n_edges"]) == (full["n_vertices"], full["n_edges"])
+        assert (eng._view_refs, eng._fact_view) == views
+        assert not eng._sg_stale
+        assert before == {d: sorted(os.listdir(os.path.join(eng.working_dir, d))) for d in before}
+        got = eng.retrieve(["alpha beta"], top_k=3)
+        assert [a._actor_id for a in eng._sg.actors] == ids
+        assert got[0]["docs"]
+    finally:
+        eng.close()
