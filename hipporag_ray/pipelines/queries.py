@@ -2360,7 +2360,7 @@ def q_tx_ppr(sf_dir: str):
         )
         # two-level top-k (K6): per-shard top-200 chunk partials, merged
         # on the driver — P×200 rows, never the (n,) score vector
-        ray.get([a.load_kinds.remote(g.vertices_path) for a in sg.actors])
+        ray.get([a.load_kinds.remote(g.vertex_parts) for a in sg.actors])
         parts = ray.get([a.topk_chunk_scores.remote(0, 200) for a in sg.actors])
     finally:
         sg.shutdown()
@@ -2502,7 +2502,7 @@ def q_tx_eval_recall(sf_dir: str):
         )
         # two-level top-k prediction readback (P×50 rows/query), one
         # batched RPC per shard instead of one per (query, shard)
-        ray.get([a.load_kinds.remote(g.vertices_path) for a in sg.actors])
+        ray.get([a.load_kinds.remote(g.vertex_parts) for a in sg.actors])
         qidx = np.arange(len(seeds), dtype=np.int64)
         parts = ray.get(
             [a.topk_chunk_scores_batch.remote(qidx, 50) for a in sg.actors]

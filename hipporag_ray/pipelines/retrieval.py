@@ -496,11 +496,44 @@ def _new_of_kind(keys: list[pa.Table], kind: str, col: str, parts: list[str], ke
     return [p[i] for p, i in zip(pos, idx)]
 
 
+def _coarse(stages: dict) -> dict:
+    """index()'s ``timers`` from its ``stages``: the store side
+    (corpus + probe + embed), the graph merge and the views append."""
+    return {
+        "stores_s": stages["corpus_s"] + stages["probe_s"] + stages["embed_s"],
+        "graph_s": stages["graph_s"],
+        "views_s": stages["views_s"],
+    }
+
+
+# turns per delta slice: a write (or a reindex) of more turns reads,
+# probes and stores them one slice at a time, so the driver holds one
+# slice's keys and the object store one slice's delta table
+_SLICE_ROWS = 32_768
+
+
+def _slices(parts: list[str]) -> list[list[tuple[str, int, int]]]:
+    """Corpus row ranges ``(part, lo, hi)`` in corpus order, grouped
+    into slices of at most ``_SLICE_ROWS`` turns; a part larger than
+    that is cut.  No slice for no rows."""
+    out, cur, n = [], [], 0
+    for p in parts:
+        rows = pq.ParquetFile(p).metadata.num_rows
+        for lo in range(0, rows, _SLICE_ROWS):
+            hi = min(rows, lo + _SLICE_ROWS)
+            if cur and n + hi - lo > _SLICE_ROWS:
+                out.append(cur)
+                cur, n = [], 0
+            cur.append((p, lo, hi))
+            n += hi - lo
+    return out + [cur] if cur else out
+
+
 @ray.remote
-def _read_delta(path: str, min_token_len: int, facts: bool) -> pa.Table:
-    """One corpus part of new turns -> its rows of the write's delta
-    table, read once for every store and the graph: the graph's vertex
-    candidate rows (node_key, kind "chunk" | "entity", content;
+def _read_delta(path: str, lo: int, hi: int, min_token_len: int, facts: bool) -> pa.Table:
+    """Turns ``[lo, hi)`` of one corpus part -> their rows of the
+    write's delta table, read once for every store and the graph: the
+    graph's vertex candidate rows (node_key, kind "chunk" | "entity", content;
     ChunkToVertexRows), which are also the chunk and entity store rows
     (hash_id = node_key), and with ``facts`` one row per (fact, chunk)
     binding: kind "fact", node_key = the pair key, the triple string as
@@ -510,7 +543,7 @@ def _read_delta(path: str, min_token_len: int, facts: bool) -> pa.Table:
     from ..functions.hashing import entity_key
     from ..stages.triples import ExtractTriples, triple_content
 
-    chunks = _to_chunk_rows(pq.read_table(path, columns=["text"]))
+    chunks = _to_chunk_rows(pq.read_table(path, columns=["text"]).slice(lo, hi - lo))
     rows = ChunkToVertexRows(min_token_len)(chunks)
     if not facts:
         return rows
@@ -663,7 +696,11 @@ class HippoRagEngine:
         only its new rows.  When a graph exists the merge is incremental
         (``merge_delta``: a key probe of the vertex dictionary, new
         vertices as one new part) — old turns are never re-extracted.
-        An empty write changes nothing and returns zero counts.
+        A write of more than ``_SLICE_ROWS`` turns is read, probed and
+        stored one slice at a time (a later slice's probe sees the
+        earlier slices' rows, so first-wins holds across slices), and
+        the merge then reads its vertex candidates once more.  An empty
+        write changes nothing and returns zero counts.
 
         The shard pool is not respawned: like every write, this marks
         it stale (``_invalidate``), and the next retrieve reloads the
@@ -678,11 +715,10 @@ class HippoRagEngine:
         leaves the views dropped for the next retrieve to rebuild.
 
         ``timers`` splits the wall into ``stores_s`` (corpus + store
-        inserts), ``graph_s`` and ``views_s`` (the append); the
-        engine's ``timers`` attribute holds the finer split
-        ``corpus_s`` (corpus write + delta table), ``probe_s`` (store
-        key probes), ``embed_s`` (store and fact-table writes),
-        ``graph_s`` and ``views_s``."""
+        inserts), ``graph_s`` and ``views_s`` (the append); ``stages``
+        splits it finer, into ``corpus_s`` (corpus write + delta
+        table), ``probe_s`` (store key probes), ``embed_s`` (store and
+        fact-table writes), ``graph_s`` and ``views_s``."""
         import time as _time
 
         t0 = _time.perf_counter()
@@ -693,36 +729,38 @@ class HippoRagEngine:
             self.corpus_dir, f"batch-{len(self._corpus_batch_dirs()):05d}"
         )
         transcripts.write_parquet(batch_dir)
-        if not sum(pq.ParquetFile(p).metadata.num_rows for p in walk_parts(batch_dir)):
+        slices = _slices(walk_parts(batch_dir))
+        stages = dict.fromkeys(("corpus_s", "probe_s", "embed_s", "graph_s", "views_s"), 0.0)
+        if not slices:
             # nothing to write (Ray writes no part for 0 rows): stores,
             # graph, views and pool stay as they are
             shutil.rmtree(batch_dir, ignore_errors=True)
             g = load_graph(self.graph_dir) if os.path.exists(manifest) else None
-            dt = _time.perf_counter() - t0
-            self.timers = {"corpus_s": dt, "probe_s": 0.0, "embed_s": 0.0, "graph_s": 0.0, "views_s": 0.0}
+            stages["corpus_s"] = _time.perf_counter() - t0
             return {
                 "new_chunks": 0,
                 "new_entities": 0,
                 "n_vertices": g.n_vertices if g else 0,
                 "n_edges": g.n_edges if g else 0,
                 "n_syn_edges": 0,
-                "timers": {"stores_s": dt, "graph_s": 0.0, "views_s": 0.0},
+                "timers": _coarse(stages),
+                "stages": stages,
             }
         views = (self._view_refs, self._fact_view)
         self._invalidate()
-        refs, keys = self._delta(walk_parts(batch_dir))
-        t1 = _time.perf_counter()
         parts_before = self._store_parts()
-        n_chunks, n_entities, probe_s = self._insert_stores(refs, keys)
+        stages["corpus_s"] = _time.perf_counter() - t0
+        n_chunks, n_entities, delta = self._insert_slices(slices, stages)
         t2 = _time.perf_counter()
         incremental = os.path.exists(manifest) and not self.synonymy
         if incremental:
             from ..stages.graph_build import merge_delta
 
+            if delta is None:  # a sliced write: the candidates, once more
+                delta = self._delta([u for sl in slices for u in sl], facts=False)
             old = load_graph(self.graph_dir)
             g = merge_delta(
-                refs,
-                keys,
+                *delta,
                 old,
                 self.graph_dir,
                 self.min_token_len,
@@ -741,13 +779,8 @@ class HippoRagEngine:
         if incremental:
             self._append_views(views, parts_before, old.n_vertices, g)
         t4 = _time.perf_counter()
-        self.timers = {
-            "corpus_s": t1 - t0,
-            "probe_s": probe_s,
-            "embed_s": t2 - t1 - probe_s,
-            "graph_s": t3 - t2,
-            "views_s": t4 - t3,
-        }
+        stages["graph_s"] = t3 - t2
+        stages["views_s"] = t4 - t3
         return {
             "new_chunks": n_chunks,
             "new_entities": n_entities,
@@ -755,17 +788,41 @@ class HippoRagEngine:
             # match the on-disk manifest, which _add_synonymy_edges bumps
             "n_edges": g.n_edges + n_syn,
             "n_syn_edges": n_syn,
-            "timers": {"stores_s": t2 - t0, "graph_s": t3 - t2, "views_s": t4 - t3},
+            "timers": _coarse(stages),
+            "stages": stages,
         }
 
-    def _delta(self, parts: list[str]) -> tuple[list, list[pa.Table]]:
-        """Read new turns once into the write's delta table, one task per
-        corpus part: refs of its blocks, and per block its keys
+    def _delta(self, units: list, facts: bool | None = None) -> tuple[list, list[pa.Table]]:
+        """Read corpus row ranges ``(part, lo, hi)`` into a delta table,
+        one task per range: refs of its blocks, and per block its keys
         (node_key, kind, fact_key) on the driver — delta-sized, like
-        every key a write probes with."""
-        refs = [_read_delta.remote(p, self.min_token_len, self.facts) for p in parts]
-        cols = ["node_key", "kind"] + (["fact_key"] if self.facts else [])
+        every key a write probes with.  ``facts`` (default: the
+        engine's) adds the fact rows."""
+        facts = self.facts if facts is None else facts
+        refs = [_read_delta.remote(p, lo, hi, self.min_token_len, facts) for p, lo, hi in units]
+        cols = ["node_key", "kind"] + (["fact_key"] if facts else [])
         return refs, block_columns(refs, cols)
+
+    def _insert_slices(self, slices: list, stages: dict) -> tuple[int, int, tuple | None]:
+        """Read and store every slice of a write in turn, adding the
+        seconds spent to ``stages`` (corpus_s: delta reads, probe_s,
+        embed_s).  Returns the new chunk and entity counts and, for a
+        single slice, its delta table (refs, keys) for the graph merge
+        (None for a sliced write, whose slices are released as they
+        are stored)."""
+        import time as _time
+
+        n_chunks = n_entities = 0
+        for sl in slices:
+            t0 = _time.perf_counter()
+            delta = self._delta(sl)
+            t1 = _time.perf_counter()
+            c, e, probe_s = self._insert_stores(*delta)
+            n_chunks, n_entities = n_chunks + c, n_entities + e
+            stages["corpus_s"] += t1 - t0
+            stages["probe_s"] += probe_s
+            stages["embed_s"] += _time.perf_counter() - t1 - probe_s
+        return n_chunks, n_entities, delta if len(slices) == 1 else None
 
     def _store_parts(self) -> dict[str, set[str]]:
         """Part files of every append-only store, per store: a write's
@@ -809,7 +866,7 @@ class HippoRagEngine:
             return appended + n <= base
 
         if view_refs is not None:
-            verts = pads.dataset(g.vertices_path).to_table(
+            verts = pads.dataset(g.vertex_parts).to_table(
                 columns=["node_key", "kind", "vid"],
                 filter=pads.field("vid") >= n_old,
             )
@@ -906,7 +963,8 @@ class HippoRagEngine:
         return walk_parts(self.facts_dir)
 
     def _reindex(self) -> dict:
-        n_chunks, n_entities, _ = self._insert_stores(*self._delta(self._corpus_parts()))
+        stages = dict.fromkeys(("corpus_s", "probe_s", "embed_s"), 0.0)
+        n_chunks, n_entities, _ = self._insert_slices(_slices(self._corpus_parts()), stages)
         self._invalidate()
         shutil.rmtree(self.graph_dir, ignore_errors=True)
         g = build_graph(
@@ -1213,7 +1271,7 @@ class HippoRagEngine:
         shard_tops: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if non_fallback:
             if not self._kinds_loaded:
-                ray.get([a.load_kinds.remote(g.vertices_path) for a in sg.actors])
+                ray.get([a.load_kinds.remote(g.vertex_parts) for a in sg.actors])
                 self._kinds_loaded = True
             # one batched call per shard (not one per (query, shard) —
             # a 32-query retrieve over P shards was 32 x P control RPCs)
@@ -1245,7 +1303,7 @@ class HippoRagEngine:
         # content lookup last, filtered to the final top rows (J2)
         import pyarrow.dataset as pads
 
-        tbl = pads.dataset(g.vertices_path).to_table(
+        tbl = pads.dataset(g.vertex_parts).to_table(
             columns=["vid", "content"],
             filter=pads.field("vid").isin(sorted(need_vids)),
         )
@@ -1582,7 +1640,7 @@ class HippoRagEngine:
         need = sorted({int(v) for vids, _ in ranks.values() for v in vids})
         import pyarrow.dataset as pads
 
-        tbl = pads.dataset(g.vertices_path).to_table(
+        tbl = pads.dataset(g.vertex_parts).to_table(
             columns=["vid", "content"], filter=pads.field("vid").isin(need)
         )
         content = dict(zip(tbl["vid"].to_pylist(), tbl["content"].to_pylist()))

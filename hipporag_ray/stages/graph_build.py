@@ -573,6 +573,13 @@ class GraphTables:
         return os.path.join(self.out_dir, "vertices")
 
     @property
+    def vertex_parts(self) -> list[str]:
+        """The committed part files of ``vertices/``: every reader of the
+        vertex table goes through these, so rows of a write that never
+        reached its manifest (see :func:`merge_delta`) stay invisible."""
+        return _vertex_parts(self.vertices_path, self.n_vertices)[0]
+
+    @property
     def edges_path(self) -> str:
         return os.path.join(self.out_dir, "edges")
 
@@ -581,7 +588,7 @@ class GraphTables:
         return os.path.join(self.out_dir, "adj")
 
     def vertices(self) -> "rd.Dataset":
-        return rd.read_parquet(self.vertices_path)
+        return rd.read_parquet(self.vertex_parts)
 
     def edges(self) -> "rd.Dataset":
         return rd.read_parquet(self.edges_path)
@@ -995,7 +1002,7 @@ def delete_chunks_from_graph(
 
     probe_keys = sorted(set(del_chunks["chunk_key"].to_pylist()))
     present_keys = set(
-        pads.dataset(graph.vertices_path)
+        pads.dataset(graph.vertex_parts)
         .to_table(columns=["node_key"], filter=pads.field("node_key").isin(probe_keys))[
             "node_key"
         ]
@@ -1032,7 +1039,7 @@ def delete_chunks_from_graph(
             zero_copy_only=False
         )
     )
-    vsub = pads.dataset(graph.vertices_path).to_table(
+    vsub = pads.dataset(graph.vertex_parts).to_table(
         columns=["node_key", "vid"],
         filter=pads.field("node_key").isin(needed.tolist()),
     )
@@ -1242,9 +1249,11 @@ def build_graph_incremental(
     old corpus (the reference's incremental indexing: insert-time key
     checks, HippoRAG.py:218-278 + embedding_store.py:63-90).
 
-    The new turns are read once into vertex candidate rows (chunk rows
-    plus their entity rows, :class:`ChunkToVertexRows`), and
-    :func:`merge_delta` does the rest:
+    A thin adapter for callers that hold the new turns as a Dataset:
+    they are materialized into vertex candidate rows (chunk rows plus
+    their entity rows, :class:`ChunkToVertexRows`) and
+    :func:`merge_delta` — the engine's entry point, fed by its delta
+    table — does the rest:
 
     * one key probe of ``vertices/`` (state/parts.py) with the
       candidates' distinct keys returns the stored (node_key, vid)
@@ -1262,16 +1271,12 @@ def build_graph_incremental(
       adjacency is re-expanded and re-sorted.
 
     The raw old transcripts are never re-read, and the driver holds
-    delta-sized keys, hits and new vertex rows only.
+    delta-sized keys, hits and new vertex rows only.  ``min_token_len``
+    and ``edge_source`` follow the graph's manifest, whatever the
+    caller passes.
     """
     from ..state.parts import block_columns
 
-    # the graph's manifest records how its edges were produced — the
-    # incremental math must match it regardless of the caller's config
-    # (min_token_len too: a mismatch desyncs the new partials from the
-    # stored vertex vocabulary)
-    with open(os.path.join(graph.out_dir, "manifest.json")) as _f:
-        min_token_len = json.load(_f).get("min_token_len", min_token_len)
     refs = (
         new_transcripts.map_batches(_to_chunk_rows, batch_format="pyarrow")
         .map_batches(ChunkToVertexRows(min_token_len), batch_format="pyarrow")
@@ -1287,6 +1292,24 @@ def build_graph_incremental(
         edge_source,
         broadcast_vertex_limit,
         struct_keys,
+    )
+
+
+@ray.remote
+def _rederive_candidates(block, min_token_len: int) -> pa.Table:
+    """A delta block's vertex candidate rows re-derived from its chunk
+    rows (node_key = chunk key, content = text) with ``min_token_len``."""
+    from .shuffle import _tbl
+
+    t = _tbl(block)
+    if t.num_rows:
+        t = t.filter(pc.equal(t["kind"], "chunk"))
+    if t.num_rows == 0:  # an empty block may carry no columns at all
+        return ChunkToVertexRows(min_token_len)(
+            pa.table({"chunk_key": pa.array([], pa.string()), "text": pa.array([], pa.string())})
+        )
+    return ChunkToVertexRows(min_token_len)(
+        pa.table({"chunk_key": t["node_key"], "text": t["content"]})
     )
 
 
@@ -1320,20 +1343,35 @@ def merge_delta(
 ) -> GraphTables:
     """The body of :func:`build_graph_incremental` over materialized
     delta blocks: ``refs`` hold vertex candidate rows (node_key, kind,
-    content; rows of any other kind are ignored) and ``keys[b]`` is
-    block ``b``'s (node_key, kind) on the driver.  The manifest stays
-    the commit point: a retry into the same ``out_dir`` first drops the
-    uncommitted delta part, so it never duplicates vertex rows."""
+    content; rows of any other kind are ignored) derived with
+    ``min_token_len``, and ``keys[b]`` is block ``b``'s (node_key, kind)
+    on the driver.
+
+    The graph's manifest records how its vertices and edges were
+    produced, and the merge follows it whatever the caller's config:
+    candidates derived with another ``min_token_len`` than the
+    manifest's are re-derived from their chunk rows first (one task
+    per block) — probed as they are, they would miss stored entities
+    (a larger value) or add short-token entities the graph never held
+    (a smaller one).
+
+    The manifest stays the commit point: readers see only committed
+    parts (``GraphTables.vertex_parts``), and a retry into the same
+    ``out_dir`` first drops the uncommitted delta part, so it never
+    duplicates vertex rows."""
     import shutil as _sh
 
     from .. import schema as _schema
-    from ..state.parts import first_rows, probe_keys, take_rows
+    from ..state.parts import block_columns, first_rows, probe_keys, take_rows
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(graph.out_dir, "manifest.json")) as _f:
         _m = json.load(_f)
     edge_source = _m.get("edge_source", edge_source)
-    min_token_len = _m.get("min_token_len", min_token_len)
+    if _m.get("min_token_len", min_token_len) != min_token_len:
+        min_token_len = _m["min_token_len"]
+        refs = [_rederive_candidates.remote(r, min_token_len) for r in refs]
+        keys = block_columns(refs, ["node_key", "kind"])
     n_old = int(graph.n_vertices)
     in_place = os.path.abspath(out_dir) == os.path.abspath(graph.out_dir)
     committed, stale = _vertex_parts(graph.vertices_path, n_old)

@@ -318,10 +318,12 @@ class GraphShard:
         self.scores = np.full((self.local_n, b), 1.0 / max(self.n_vertices, 1))
         return self.reset.sum(axis=0)
 
-    def load_kinds(self, vertices_path: str) -> int:
-        """Load the kind flags for this shard's vid range (pruned read);
-        returns the number of chunk vertices held."""
-        tbl = pads.dataset(vertices_path).to_table(
+    def load_kinds(self, vertices: str | list[str]) -> int:
+        """Load the kind flags for this shard's vid range (pruned read of
+        a vertex table directory or of its part files, such as
+        ``GraphTables.vertex_parts``); returns the number of chunk
+        vertices held."""
+        tbl = pads.dataset(vertices).to_table(
             columns=["vid", "kind"],
             filter=(pads.field("vid") >= self.lo) & (pads.field("vid") < self.hi),
         )

@@ -287,7 +287,11 @@ class EmbeddingStore:
         a key probe finds which of their keys the stored parts hold
         (state/parts.py; the stored keys never reach the driver), and
         the first row of every other key is embedded and written.
-        Returns the number of new rows written."""
+        Returns the number of new rows written.
+
+        A thin adapter over :meth:`write_rows` for callers that hold the
+        rows as a Dataset; the engine's ``index()`` probes and writes
+        from its delta table instead."""
         from .parts import block_columns, new_rows
 
         prefix = self.prefix
@@ -318,13 +322,16 @@ class EmbeddingStore:
         n_new = sum(len(i) for i in idx)
         if n_new == 0:
             return 0
-        # pieces of one embed batch each: the new rows of a big insert
-        # sit in few blocks, and map_batches parallelizes over blocks.
-        # Stateless embedders (no model load) run task-based on warm
-        # workers: actor-pool launch latency was the dominant cost of
-        # small/medium inserts
+        # pieces of at least one embed batch, ~two per CPU: the new rows
+        # of a big insert sit in few blocks, map_batches parallelizes
+        # over blocks, and every block becomes a part file that later
+        # probes read.  Stateless embedders (no model load) run
+        # task-based on warm workers: actor-pool launch latency was the
+        # dominant cost of small/medium inserts
         bsz = self.embed_batch_size or 512
-        new = rd.from_arrow_refs(take_rows(refs, idx, columns, bsz))
+        cpus = int(_ray.cluster_resources().get("CPU", 1))
+        rows = max(bsz, -(-n_new // (2 * max(cpus, 1))))
+        new = rd.from_arrow_refs(take_rows(refs, idx, columns, rows))
         if getattr(self.embedder_cls, "STATELESS", False) and self.num_gpus == 0:
             embedded = new.map_batches(
                 self.embedder_cls(**{**self.embedder_kwargs, "text_col": "content"}),

@@ -60,14 +60,23 @@ def next_batch_dir(root: str) -> str:
     return os.path.join(root, f"batch-{n:05d}")
 
 
+# stored rows per key lookup in a probe task: the lookup hashes the
+# probe's keys once per call, not once per (small) part
+_PROBE_ROWS = 1 << 20
+
+
 @ray.remote
 def _probe_group(paths: list[str], key_col: str, keys, columns: list[str]) -> pa.Table:
     """Rows of one group of stored parts whose key is in ``keys``
     (Ray dereferences the broadcast ref arg)."""
-    hits = []
-    for p in paths:
-        t = pq.read_table(p, columns=[key_col, *columns])
-        hits.append(t.filter(pc.is_in(t[key_col], value_set=keys)))
+    hits, run, n = [], [], 0
+    for i, p in enumerate(paths):
+        run.append(pq.read_table(p, columns=[key_col, *columns]))
+        n += run[-1].num_rows
+        if n >= _PROBE_ROWS or i == len(paths) - 1:
+            t = pa.concat_tables(run)
+            hits.append(t.filter(pc.is_in(t[key_col], value_set=keys)))
+            run, n = [], 0
     return pa.concat_tables(hits)
 
 
@@ -98,7 +107,9 @@ def first_rows(keys: list[np.ndarray], skip) -> list[np.ndarray]:
     occurrence in block order, leaving out keys in ``skip``."""
     flat = np.concatenate(keys) if keys else np.zeros(0, object)
     uniq, first = np.unique(flat, return_index=True)
-    keep = first[~np.isin(uniq, np.asarray(skip, dtype=object))]
+    # a hash lookup: np.isin compares object arrays pairwise
+    stored = pc.is_in(pa.array(uniq, pa.string()), value_set=pa.array(skip, pa.string()))
+    keep = first[~stored.to_numpy(zero_copy_only=False)]
     ends = np.cumsum([len(k) for k in keys])
     return [
         np.sort(keep[(keep >= e - len(k)) & (keep < e)]) - (e - len(k))
