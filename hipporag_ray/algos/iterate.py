@@ -30,12 +30,20 @@ or changed count, active queries, edges scanned, wall seconds) land in
 
 Every algorithm runs the ONE pipelined superstep loop (``_superstep``)
 over ``GraphShard.step``; it submits wave it+1 before reading wave it's
-result.  A save point is a checkpoint BARRIER — when the next
-wave would start past iteration ``it`` with ``it % checkpoint_every ==
-0``, the driver does not submit it, consumes the in-flight wave (so the
-saved active set / changed count is that wave's own, not lagged by a
-wave), saves the iteration-consistent shard state, restarts the wall
-clock and resumes pipelining.  A run whose last wave ends on a save
+result.  A wave's messages reach the steps directly when the pool has
+one message chunk, and through the pool's k assembler actors when it
+has k > 1.  A PPR call has no driver barrier before its first wave:
+``ppr_init``'s column sums go to the prologue ``message`` wave as refs,
+each shard normalizes its own reset from them, and the first
+``ray.get`` is the first wave's.  A bad reset (vids or query_idx out of
+range) therefore raises its ``ValueError`` there.
+
+A save point is a checkpoint BARRIER — when the next wave would start
+past iteration ``it`` with ``it % checkpoint_every == 0``, the driver
+does not submit it, consumes the in-flight wave (so the saved active
+set / changed count is that wave's own, not lagged by a wave), saves
+the iteration-consistent shard state, restarts the wall clock and
+resumes pipelining.  A run whose last wave ends on a save
 point saves too.  Without ``checkpoint_dir``/``checkpoint_every`` no
 barrier fires and the submit/consume order is the plain pipeline's.
 """
@@ -333,7 +341,9 @@ def _superstep(
     metrics).  ``prog`` (``_PPR``, ``_Labels``) gives the step ``kind``,
     the lineage ``meta``, the checkpointed score columns ``n_queries``,
     ``restore`` (resumed manifest entry or None -> converged), the next
-    wave's ``params``, the ``assemble`` call, ``consume`` (one wave's
+    wave's ``params``, the prologue message's extra args ``prologue``,
+    the ``assemble`` call (the P message refs themselves when the pool has
+    no assemblers), ``consume`` (one wave's
     outputs -> record, converged, save fields; ``draining`` when no
     later wave is in flight) and ``collect``.
 
@@ -363,7 +373,9 @@ def _superstep(
     ck.reset_metrics(start_iter)
 
     metrics: list[dict] = []
-    msg_refs = [a.message.remote(prog.kind, *prog.params) for a in sg.actors]
+    msg_refs = [
+        a.message.remote(prog.kind, *prog.params, *prog.prologue) for a in sg.actors
+    ]
     it = start_iter
     in_flight = None  # (iter, params, output refs)
     t_prev = None
@@ -407,20 +419,26 @@ def _superstep(
 
 class _PPR:
     """Batched PPR as a superstep program.  Pull model: one (contrib,
-    dangling, hub) message per shard, merged by the k PARALLEL chunk
-    assemblers into the iteration's k chunk objects; every owner
-    segment-reduces its incoming edges against them.  Passing k chunk
-    refs (auto-dereffed at the actor) keeps the per-iteration ref
-    fan-out at k x P — the full P x P inlining and the borrower-protocol
-    storm of a ray.put'd ref list each measured slower than the edge
-    scan itself at P=63.  The active-column subset happens IN the
-    assembles (``pos``), so the chunks reach the shards already at the
-    active width and no shard re-subsets O(n x B) itself."""
+    dangling, hub) message per shard; every owner segment-reduces its
+    incoming edges against the merged message.  With one message chunk
+    (pools of at most 7 shards by default) each step gets the P message
+    refs and merges them itself — no assembler hop in the wave.  With
+    k > 1 the k PARALLEL chunk assemblers merge them into the
+    iteration's k chunk objects: passing k chunk refs (auto-dereffed at
+    the actor) keeps the per-iteration ref fan-out at k x P — the full
+    P x P inlining and the borrower-protocol storm of a ray.put'd ref
+    list each measured slower than the edge scan itself at P=63.  The
+    active-column subset happens IN the merge (``pos``), so no shard
+    re-subsets O(n x B) itself.  ``prologue`` (the P shards' ``ppr_init``
+    sum refs) rides the prologue message, which normalizes the reset."""
 
     kind = "ppr"
 
-    def __init__(self, sg: ShardedGraph, meta: dict, damping: float, tol: float):
+    def __init__(
+        self, sg: ShardedGraph, meta: dict, damping: float, tol: float, sums: list
+    ):
         self.sg, self.meta, self.damping, self.tol = sg, meta, damping, tol
+        self.prologue = tuple(sums)
         self.n_queries = meta["n_queries"]
         self.active = np.arange(self.n_queries)
 
@@ -435,6 +453,8 @@ class _PPR:
         return self.damping, self.active
 
     def assemble(self, msg_refs) -> list:
+        if not self.sg.assemblers:
+            return msg_refs  # GraphShard.step merges them at its active width
         pos = (
             None
             if len(self.active) == len(self.msg_active)
@@ -502,15 +522,15 @@ def personalized_pagerank(
         raise ValueError("pass either resets or reset_dataset, not both")
     if resets is not None:
         reset_dataset = [ray.put(_reset_triples(resets, sg.n_vertices, n_queries))]
+    # no ray.get here: the sum refs ride the prologue message wave (see
+    # _PPR).  The order holds through data, not actor submission order:
+    # each prologue message needs every shard's sums and each step every
+    # message, so a routing error surfaces at the first wave's get
     if reset_dataset is None:
-        sums = ray.get([a.ppr_init.remote(n_queries) for a in sg.actors])
+        sums = [a.ppr_init.remote(n_queries) for a in sg.actors]
     else:
         routed = route_reset_dataset(sg, reset_dataset, n_queries)
-        sums = ray.get(
-            [a.ppr_init.remote(n_queries, *routed[t]) for t, a in enumerate(sg.actors)]
-        )
-    totals = np.sum(sums, axis=0)
-    ray.get([a.ppr_normalize_reset.remote(totals) for a in sg.actors])
+        sums = [a.ppr_init.remote(n_queries, *routed[t]) for t, a in enumerate(sg.actors)]
 
     meta = {
         "n_queries": n_queries,
@@ -528,9 +548,9 @@ def personalized_pagerank(
         # sf0.1), pure waste on the retrieval hot path.
         import hashlib
 
-        digests = ray.get([a.reset_digest.remote() for a in sg.actors])
+        digests = ray.get([a.reset_digest.remote(*sums) for a in sg.actors])
         meta["reset_fp"] = hashlib.md5("".join(digests).encode()).hexdigest()[:16]
-    prog = _PPR(sg, meta, damping, tol)
+    prog = _PPR(sg, meta, damping, tol, sums)
     return _superstep(sg, prog, max_iter, checkpoint_dir, checkpoint_every, resume, collect)
 
 
@@ -552,6 +572,7 @@ class _Labels:
 
     n_queries = 0
     params = ()
+    prologue = ()
 
     def __init__(self, sg: ShardedGraph, kind: str, col: str, max_iter: int):
         self.sg, self.kind, self.col = sg, kind, col
@@ -561,6 +582,8 @@ class _Labels:
         return False
 
     def assemble(self, msg_refs) -> list:
+        if not self.sg.assemblers:
+            return msg_refs  # GraphShard.step merges them
         # label messages are (n,) ints — no win from chunk parallelism,
         # but the persistent assembler actor avoids task-worker churn
         return [self.sg.assemblers[0].assemble_labels.remote(*msg_refs)]

@@ -60,7 +60,7 @@ from ..stages.similarity import topk_tie_rows
 from ..stages.graph_build import ChunkToVertexRows, _to_chunk_rows, build_graph, load_graph
 from ..state.csr import ShardedGraph
 from ..state.embedding_store import EmbeddingStore, HashEmbedder
-from ..state.parts import block_columns, new_rows, walk_parts, write_rows
+from ..state.parts import block_columns, in_keys, new_rows, walk_parts, write_rows
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def _pick_vids(pack, keys: np.ndarray) -> pa.Table:
                 "n_chunks": pa.array([], pa.float64()),
             }
         )
-    mask = np.isin(nk, keys)
+    mask = in_keys(nk, keys)
     return pa.table(
         {
             "node_key": pa.array(nk[mask], pa.string()),
@@ -439,8 +439,7 @@ def _drop_turns_in_part(path: str, del_arr) -> int:
     """Drop turns whose text hash is deleted (atomic rewrite) — one
     task per corpus part (Ray dereferences the broadcast ref arg)."""
     t = pq.read_table(path)
-    keys = md5_hex(t["text"], prefix="chunk-").to_numpy(zero_copy_only=False)
-    mask = ~np.isin(keys, del_arr)
+    mask = ~in_keys(md5_hex(t["text"], prefix="chunk-"), del_arr)
     if mask.all():
         return 0
     tmp = path + ".tmp"
@@ -454,8 +453,7 @@ def _drop_fact_rows_in_part(path: str, del_arr) -> list[str]:
     """Drop (fact, chunk) rows of deleted chunks; returns the dropped
     fact keys — one task per fact-table part."""
     t = pq.read_table(path)
-    ck = t["chunk_key"].to_numpy(zero_copy_only=False)
-    mask = ~np.isin(ck, del_arr)
+    mask = ~in_keys(t["chunk_key"], del_arr)
     if mask.all():
         return []
     dropped = t["fact_key"].filter(pa.array(~mask)).to_pylist()
@@ -470,7 +468,7 @@ def _surviving_fact_keys_in_part(path: str, probe_arr) -> list[str]:
     fk = pq.read_table(path, columns=["fact_key"])["fact_key"].to_numpy(
         zero_copy_only=False
     )
-    return fk[np.isin(fk, probe_arr)].tolist()
+    return fk[in_keys(fk, probe_arr)].tolist()
 
 
 

@@ -1106,10 +1106,12 @@ def delete_chunks_from_graph(
     def chunk_keep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as _pc
 
+        from ..state.parts import in_keys
+
         is_c = _pc.equal(batch["kind"], "chunk")
-        dels = ray.get(del_ref)
-        keys = batch["node_key"].to_numpy(zero_copy_only=False)
-        keep = is_c.to_numpy(zero_copy_only=False) & ~np.isin(keys, dels)
+        keep = is_c.to_numpy(zero_copy_only=False) & ~in_keys(
+            batch["node_key"], ray.get(del_ref)
+        )
         return batch.filter(pa.array(keep))
 
     def entity_only(batch: pa.Table) -> pa.Table:

@@ -15,21 +15,25 @@ Iteration protocol (pull / broadcast model):
 1. every actor publishes one small per-vertex message vector for its
    range (PPR: damping*score/out_weight; CC/LP/coreness: labels) —
    total bytes per iteration = n x B, independent of P;
-2. k persistent zero-CPU assembler actors concatenate, in parallel,
-   the P slices into k message CHUNKS (PPR; consecutive-shard vid
-   ranges cut at vertex quantiles — a single full-matrix assemble was
-   the serial O(n x B) Amdahl term once the compiled kernel landed,
-   capping 8->32-CPU scaling at ~0.5) and every actor fetches the k objects (zero-copy
-   plasma reads; on a multi-node cluster each node fetches each chunk
-   once — the same n x B per-node traffic) and segment-reduces its
-   incoming edges chunk by chunk, pre-sorted by (chunk, own vid)
+2. the P slices are merged into k message CHUNKS (PPR; consecutive-shard
+   vid ranges cut at vertex quantiles) and every actor segment-reduces
+   its incoming edges chunk by chunk, pre-sorted by (chunk, own vid)
    (compiled one-pass kernel in state/native.py, chunked
-   ``np.*.reduceat`` fallback).  CC/LP messages are labels (n x 8
-   bytes total — no win from chunk parallelism) and still assemble
-   into one object, scanned per chunk.  Handing k refs to P pulls
-   instead of P refs to each of P pulls matters: the driver-side
-   O(P^2) ref bookkeeping measured 170-330 ms per iteration at
-   P=63 — more than the edge scan itself.
+   ``np.*.reduceat`` fallback).  With one chunk (k = 1, every pool of
+   at most 7 shards by default) there is no merge hop: each step takes
+   the P shard messages as its arguments and merges them itself.  With
+   k > 1, k persistent zero-CPU assembler actors merge the chunks in
+   parallel (a single full-matrix assemble was the serial O(n x B)
+   Amdahl term once the compiled kernel landed, capping 8->32-CPU
+   scaling at ~0.5) and every actor fetches the k objects (zero-copy
+   plasma reads; on a multi-node cluster each node fetches each chunk
+   once — the same n x B per-node traffic).  Handing k refs to P pulls
+   instead of P refs to each of P pulls matters at large P: the
+   driver-side O(P^2) ref bookkeeping measured 170-330 ms per
+   iteration at P=63 — more than the edge scan itself.  CC/LP messages
+   are labels (n x 8 bytes total — no win from chunk parallelism) and
+   merge into one object, on one assembler when k > 1, scanned per
+   chunk.
 
 Every algorithm runs one ``GraphShard.step`` (pull, then publish the
 next message) per shard per iteration, from ``algos/iterate._superstep``.
@@ -194,11 +198,11 @@ class GraphShard:
 
         # incoming edges as a CHUNKED CSR: edges sorted by (message
         # chunk of the source vid, own, other).  ``msg_chunk_bounds``
-        # partitions the vid range into k chunks, and the driver merges
-        # the per-shard contrib slices into k chunk matrices on k
-        # parallel assembler actors instead of one serial full-matrix
-        # concat — with the compiled kernel the O(n x B) serial
-        # assemble was the Amdahl term that capped 8->32-CPU scaling
+        # partitions the vid range into k chunks, and for k > 1 the
+        # driver merges the per-shard contrib slices into k chunk
+        # matrices on k parallel assembler actors instead of one serial
+        # full-matrix concat — with the compiled kernel the O(n x B)
+        # serial assemble was the Amdahl term that capped 8->32-CPU scaling
         # efficiency at ~0.5.  Each chunk's edge run is a contiguous
         # slice of the same arrays (no memory duplication), ``other``
         # is stored chunk-LOCAL (row index into that chunk's message
@@ -383,26 +387,32 @@ class GraphShard:
             ss.append(s[sel])
         return np.concatenate(qs), np.concatenate(vs), np.concatenate(ss)
 
-    def ppr_normalize_reset(self, totals: np.ndarray) -> None:
-        """Normalize reset by global sums; all-zero columns -> uniform
-        (SimpleGraph.kt:139)."""
-        totals = np.asarray(totals, dtype=np.float64)
+    def _normalized_reset(self, sums) -> np.ndarray:
+        totals = np.sum(sums, axis=0)
         out = np.empty_like(self.reset)
         nz = totals > 0
         out[:, nz] = self.reset[:, nz] / totals[nz]
         out[:, ~nz] = 1.0 / max(self.n_vertices, 1)
-        self.reset = out
+        return out
 
-    def reset_digest(self) -> str:
-        """Content digest of this shard's (normalized) reset slice —
-        checkpoint lineage identity for the seed set.  Per-shard column
-        SUMS are not enough: two different seed sets with equal
-        per-shard mass would collide and resume would silently serve a
-        different query's scores."""
+    def ppr_normalize_reset(self, *sums) -> None:
+        """Normalize reset by the global column sums — the P shards'
+        ``ppr_init`` sums added in shard order, the same arithmetic as
+        one driver-side sum; all-zero columns -> uniform
+        (SimpleGraph.kt:139)."""
+        self.reset = self._normalized_reset(sums)
+
+    def reset_digest(self, *sums) -> str:
+        """Content digest of this shard's reset slice as normalized by
+        ``sums`` (see ``ppr_normalize_reset``; the reset itself is left
+        as it is) — checkpoint lineage identity for the seed set.
+        Per-shard column SUMS are not enough: two different seed sets
+        with equal per-shard mass would collide and resume would
+        silently serve a different query's scores."""
         import hashlib
 
         return hashlib.md5(
-            np.ascontiguousarray(self.reset, dtype=np.float64).tobytes()
+            np.ascontiguousarray(self._normalized_reset(sums)).tobytes()
         ).hexdigest()
 
     def ppr_contrib(self, damping: float, active: np.ndarray):
@@ -467,6 +477,7 @@ class GraphShard:
             vals = (s[p_own] * w[p_own][:, None]) * p_w[:, None]
             hub_push[self._push_uniq] = np.add.reduceat(vals, self._push_starts, axis=0)
         out = (msg, dangling, hub_push)
+        self._msg_active = active  # the columns this message covers
         self._perf["contrib_s"] += _t.perf_counter() - _t0
         return out
 
@@ -483,8 +494,9 @@ class GraphShard:
         """PPR pull: next = (1-d)*reset + d*dangling*reset + incoming
         segment sums; update the active columns in place and return the
         per-column L1 delta.  ``msgs`` are the k per-chunk (M_c,
-        dangling_partial, hub_partial) tuples of the group assembles,
-        already at ``active`` width (the assembles subset the columns).
+        dangling_partial, hub_partial) tuples (merged by the assemblers,
+        or by ``step`` when k = 1), already at ``active`` width (the
+        merge subsets the columns).
         Base ranks first, then one accumulating segment-sum pass per
         message chunk (compiled kernel, or the blocked-gather numpy
         fallback).
@@ -864,31 +876,55 @@ class GraphShard:
     # ------------------------------------------------------------------
 
     def step(self, kind: str, *args):
-        """One superstep in ONE actor call: pull the assembled message,
+        """One superstep in ONE actor call: pull the merged message,
         then publish the next one from the updated state (bit-identical
         to separate pull and publish waves).  ``args`` are the
-        ``message`` params, then the message: for ``ppr``, (damping,
-        active, *k per-chunk (M_c, dangling, hub) partials — top-level
-        args, so Ray auto-derefs them), returning (per-column L1 delta,
-        next contrib); for ``cc``/``lp``/``coreness``, (assembled label
-        message,), returning (changed count, next label message)."""
+        ``message`` params, then the messages — top-level args, so Ray
+        auto-derefs them.  With one message chunk (k = 1) they are the
+        P shard messages, merged here (``assemble_ppr`` /
+        ``assemble_labels``, as an assembler would); with k > 1, for
+        ``ppr`` the k per-chunk (M_c, dangling, hub) partials of the
+        assemblers and for ``cc``/``lp``/``coreness`` the one assembled
+        label message.  Returns, for ``ppr`` (params damping, active),
+        (per-column L1 delta, next contrib); for the label kinds,
+        (changed count, next label message)."""
         import time as _t
 
         _ts = _t.perf_counter()
         _cs = _t.thread_time()
         pull, publish = self._KINDS[kind]
         params = args[:2] if kind == "ppr" else ()
-        out = pull(self, *args), publish(self, *params)
+        msgs = args[len(params) :]
+        if len(self._chunks) == 1:
+            msgs = (self._merge(kind, params, msgs),)
+        out = pull(self, *params, *msgs), publish(self, *params)
         self._perf["step_s"] += _t.perf_counter() - _ts
         self._perf["step_cpu_s"] += _t.thread_time() - _cs
         self._perf["steps"] += 1
         return out
 
-    def message(self, kind: str, *params):
+    def _merge(self, kind: str, params: tuple, msgs) -> tuple:
+        """The P shard messages as one merged message.  Every shard
+        published with the same ``active`` set, so this shard's own
+        ``_msg_active`` gives the columns all of them cover, and a
+        narrowed active set is taken in the one merge fill."""
+        if kind != "ppr":
+            return assemble_labels(msgs)
+        active, published = params[1], self._msg_active
+        pos = None if len(active) == len(published) else np.searchsorted(published, active)
+        return assemble_ppr(msgs, pos)
+
+    def message(self, kind: str, *args):
         """``kind``'s message from the current state — the prologue wave
-        before the first ``step``.  ``ppr`` params are (damping,
-        active); the label kinds take none."""
-        return self._KINDS[kind][1](self, *params)
+        before the first ``step``.  ``ppr`` args are (damping, active,
+        *sums): when the P shards' ``ppr_init`` column sums are given,
+        the reset is normalized by them first, so a PPR call's first
+        wave depends on every shard's init through its data and no
+        driver barrier sits between them.  The label kinds take none."""
+        if kind == "ppr" and len(args) > 2:
+            self.ppr_normalize_reset(*args[2:])
+            args = args[:2]
+        return self._KINDS[kind][1](self, *args)
 
     # kind -> (pull, publish)
     _KINDS = {
@@ -935,13 +971,15 @@ def assemble_ppr(msgs, pos=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge the PPR contrib messages of one chunk's shard group into a
     broadcast payload: the chunk's message matrix (shard slices
     concatenated in bounds order), the summed dangling mass and the
-    summed hub-push block.  The driver runs this on a persistent
-    zero-CPU assembler actor (``_ChunkAssembler``), one call per chunk
-    per iteration, and hands the output refs to every step — each node
-    then fetches the chunks once per iteration (n x B bytes, the same
-    per-node traffic as fetching all P slices) instead of the driver
-    inlining P refs into P calls (O(P^2) borrow registrations, the
-    measured iteration-wall dominator at P=63).
+    summed hub-push block.  With one message chunk every
+    ``GraphShard.step`` runs it on the P messages it was handed.  With
+    k > 1 the driver runs it on a persistent zero-CPU assembler actor
+    (``_ChunkAssembler``), one call per chunk per iteration, and hands
+    the output refs to every step — each node then fetches the chunks
+    once per iteration (n x B bytes, the same per-node traffic as
+    fetching all P slices) instead of the driver inlining P refs into P
+    calls (O(P^2) borrow registrations, the measured iteration-wall
+    dominator at P=63).
 
     ``pos`` (optional int64 positions into the message columns) fuses
     the active-set column subset into the assemble: when the active set
@@ -982,11 +1020,13 @@ def assemble_labels(msgs) -> tuple[np.ndarray, list]:
 
 class _ChunkAssembler:
     """Persistent zero-CPU actor that merges one message chunk per
-    iteration.  PLAIN ray tasks here caused worker-process churn: the
-    raylet reaps idle task workers above the CPU count between PPR
-    calls, so each call's first iterations paid ~1 s of fresh-worker
-    spawn + import (observed as 134 spawned workers and 2-20x
-    iteration-wall spikes).  Actors pin the process for the pool's
+    iteration; a pool has k of them when it has k > 1 message chunks
+    and none at k = 1, where each step merges the P messages itself
+    and the wave saves an actor hop.  PLAIN ray tasks here caused
+    worker-process churn: the raylet reaps idle task workers above the
+    CPU count between PPR calls, so each call's first iterations paid
+    ~1 s of fresh-worker spawn + import (observed as 134 spawned
+    workers and 2-20x iteration-wall spikes).  Actors pin the process for the pool's
     lifetime.  num_cpus=0: the shard pool reserves all-but-one core
     while its actors sit IDLE waiting on exactly these memcpy calls."""
 
@@ -1299,7 +1339,8 @@ class ShardedGraph:
             # (k=1: serial-assemble bound; k=8/16: ref fan-out and
             # chunk-view overheads outweigh the extra assemble
             # parallelism); tiny pools scale k down so a group is
-            # never smaller than ~4 shards
+            # never smaller than ~4 shards, and up to 7 shards take
+            # k = 1: no assembler, each step merges the P messages
             msg_chunks = min(4, max(1, n_shards // 4))
         k = max(1, min(int(msg_chunks), n_shards))
         targets = (np.arange(1, k) * n_vertices) // max(k, 1)
@@ -1369,11 +1410,12 @@ class ShardedGraph:
                 GraphShardActor.options(num_cpus=cpu_per_shard).remote(*init(i), **kw)
             )
             loads.append(self.actors[-1].get_edge_count.remote())
-        # one persistent assembler per message chunk (see _ChunkAssembler)
-        self.assemblers = _trim(self.assemblers, len(self.msg_groups))
+        # one persistent assembler per message chunk when there are k > 1
+        # (see _ChunkAssembler); at k = 1 the steps merge the messages
+        n_asm = len(self.msg_groups) if len(self.msg_groups) > 1 else 0
+        self.assemblers = _trim(self.assemblers, n_asm)
         self.assemblers += [
-            ChunkAssemblerActor.remote()
-            for _ in range(len(self.assemblers), len(self.msg_groups))
+            ChunkAssemblerActor.remote() for _ in range(len(self.assemblers), n_asm)
         ]
         # block until all shards loaded; also the total directed edge
         # record count (the per-iteration edge-scan volume)

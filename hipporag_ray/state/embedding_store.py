@@ -202,9 +202,10 @@ class CharFreqEmbedder:
 def _delete_rows_in_file(path: str, key_col: str, del_arr: np.ndarray) -> int:
     """Drop rows whose ``key_col`` is in ``del_arr`` (atomic rewrite);
     returns the number removed.  Shared per-part delete kernel."""
+    from .parts import in_keys
+
     t = pq.read_table(path)
-    keys = t[key_col].to_numpy(zero_copy_only=False)
-    mask = ~np.isin(keys, del_arr)
+    mask = ~in_keys(t[key_col], del_arr)
     if mask.all():
         return 0
     tmp = path + ".tmp"

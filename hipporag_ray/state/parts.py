@@ -101,15 +101,27 @@ def probe_keys(
     )
 
 
+def in_keys(values, keys) -> np.ndarray:
+    """Boolean mask: which of ``values`` are in ``keys``.  Both are
+    string keys (numpy object arrays, lists or arrow arrays).  It is one
+    hash lookup, where numpy 1.26's ``np.isin`` compares object arrays
+    pairwise (20k x 10k keys: 1.36 s on one core)."""
+
+    def arrow(x):
+        if isinstance(x, pa.ChunkedArray):
+            return x.combine_chunks()
+        return x if isinstance(x, pa.Array) else pa.array(x, pa.string())
+
+    return pc.is_in(arrow(values), value_set=arrow(keys)).to_numpy(zero_copy_only=False)
+
+
 def first_rows(keys: list[np.ndarray], skip) -> list[np.ndarray]:
     """First-wins selection over incoming blocks: per block, the
     positions (into that block's ``keys``) of each key's first
     occurrence in block order, leaving out keys in ``skip``."""
     flat = np.concatenate(keys) if keys else np.zeros(0, object)
     uniq, first = np.unique(flat, return_index=True)
-    # a hash lookup: np.isin compares object arrays pairwise
-    stored = pc.is_in(pa.array(uniq, pa.string()), value_set=pa.array(skip, pa.string()))
-    keep = first[~stored.to_numpy(zero_copy_only=False)]
+    keep = first[~in_keys(uniq, skip)]
     ends = np.cumsum([len(k) for k in keys])
     return [
         np.sort(keep[(keep >= e - len(k)) & (keep < e)]) - (e - len(k))

@@ -550,7 +550,7 @@ def test_chunked_messages_match_single_assemble(graph):
     for k in (1, 4):
         sg = ShardedGraph(g.adj_path, g.n_vertices, msg_chunks=k, precise=True)
         try:
-            assert len(sg.msg_groups) == len(sg.assemblers)
+            assert len(sg.assemblers) == (len(sg.msg_groups) if len(sg.msg_groups) > 1 else 0)
             assert [i for grp in sg.msg_groups for i in grp] == list(
                 range(sg.n_shards)
             )
@@ -836,3 +836,201 @@ def test_reset_dataset_guards(graph):
             )
     finally:
         sg.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# one message chunk: no assembler actors, every step merges the messages
+# ---------------------------------------------------------------------------
+
+
+def _oracle_reset(n, vids, weights):
+    reset = np.zeros(n)
+    np.add.at(reset, np.asarray(vids), weights)
+    return reset
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 5])
+def test_one_chunk_pool_runs_without_assemblers(graph, n_shards):
+    """A default pool of at most 7 shards has one message chunk and no
+    assembler actor.  On it, list- and dataset-reset PPR whose columns
+    converge at different waves match ppr_oracle within 1e-6, and CC,
+    LP and coreness equal their oracles."""
+    from hipporag_ray.algos.iterate import coreness
+    from hipporag_ray.algos.oracle import coreness_oracle
+
+    g, e = graph
+    src, dst, w = _edge_arrays(e)
+    n = g.n_vertices
+    sg = ShardedGraph(g.adj_path, n, n_shards=n_shards)
+    try:
+        assert sg.n_shards == n_shards
+        assert len(sg.msg_groups) == 1 and sg.assemblers == []
+        rng = np.random.default_rng(n_shards)
+        resets = [
+            (rng.choice(n, size=1, replace=False), np.ones(1)),
+            (rng.choice(n, size=20, replace=False), rng.random(20)),
+            (np.arange(n), np.ones(n)),  # uniform: converges first
+        ]
+        got, metrics = personalized_pagerank(sg, resets=resets, n_queries=3)
+        assert len({m["active_queries"] for m in metrics}) > 1
+        for b, (vids, wts) in enumerate(resets):
+            want = ppr_oracle(n, src, dst, w, reset=_oracle_reset(n, vids, wts))
+            np.testing.assert_allclose(got[:, b], want, atol=1e-6)
+
+        vid = rng.integers(0, n, 30)
+        qidx = np.repeat(np.arange(3), 10)
+        wt = rng.random(30)
+        ds = rd.from_arrow(pa.table({"vid": vid, "query_idx": qidx, "weight": wt}))
+        got, _ = personalized_pagerank(sg, reset_dataset=ds.repartition(2), n_queries=3)
+        for b in range(3):
+            reset = _oracle_reset(n, vid[qidx == b], wt[qidx == b])
+            np.testing.assert_allclose(
+                got[:, b], ppr_oracle(n, src, dst, w, reset=reset), atol=1e-6
+            )
+
+        comp, _ = connected_components(sg)
+        np.testing.assert_array_equal(comp, cc_oracle(n, src, dst))
+        labels, _ = label_propagation(sg, max_iter=5)
+        np.testing.assert_array_equal(labels, lp_oracle(n, src, dst, w, max_iter=5))
+        core, _ = coreness(sg)
+        np.testing.assert_array_equal(core, coreness_oracle(n, src, dst))
+    finally:
+        sg.shutdown()
+
+
+def test_one_chunk_checkpoint_resume(graph, tmp_path):
+    """A checkpoint_every=3 PPR run on a one-chunk pool resumes from its
+    last save point and ends where an uninterrupted run does."""
+    g, e = graph
+    src, dst, w = _edge_arrays(e)
+    n = g.n_vertices
+    rng = np.random.default_rng(4)
+    resets = [(rng.choice(n, size=3, replace=False), rng.random(3)) for _ in range(2)]
+    sg = ShardedGraph(g.adj_path, n, n_shards=2)
+    try:
+        assert sg.assemblers == []
+        kw = dict(resets=resets, n_queries=2, checkpoint_every=3)
+        want, _ = personalized_pagerank(sg, checkpoint_dir=str(tmp_path / "full"), **kw)
+        ck = str(tmp_path / "ck")
+        personalized_pagerank(sg, max_iter=7, checkpoint_dir=ck, **kw)  # "crash" at 7
+        got, metrics = personalized_pagerank(sg, checkpoint_dir=ck, resume=True, **kw)
+        assert metrics[0]["iter"] == 7  # resumed after the iteration-6 save
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for b, (vids, wts) in enumerate(resets):
+            oracle = ppr_oracle(n, src, dst, w, reset=_oracle_reset(n, vids, wts))
+            np.testing.assert_allclose(got[:, b], oracle, atol=1e-6)
+    finally:
+        sg.shutdown()
+
+
+def test_reload_spawns_and_kills_assemblers(graph):
+    """A reload that moves a live pool between one message chunk and
+    k > 1 spawns or kills the assembler actors, as it does shard actors,
+    and PageRank on the pool still matches the oracle."""
+    g, e = graph
+    src, dst, w = _edge_arrays(e)
+    n = g.n_vertices
+    want = pagerank_oracle(n, src, dst, w)
+
+    def reload(sg, **opts):
+        sg._opts.update(opts)
+        sg.reload(g.adj_path, n)
+        np.testing.assert_allclose(pagerank(sg)[0][:, 0], want, atol=1e-6)
+
+    def gone(actors):
+        for a in actors:
+            with pytest.raises(ray.exceptions.RayActorError):
+                ray.get(a.__ray_ready__.remote())
+        return True
+
+    sg = ShardedGraph(g.adj_path, n, n_shards=2)
+    try:
+        assert sg.assemblers == []
+        reload(sg, n_shards=9)  # 2 -> 9 shards: k = 2
+        assert sg.n_shards == 9 and len(sg.msg_groups) == len(sg.assemblers) == 2
+        asm = list(sg.assemblers)
+        reload(sg, n_shards=2)  # and back: k = 1
+        assert sg.assemblers == [] and gone(asm)
+
+        shards = [a._actor_id for a in sg.actors]
+        reload(sg, msg_chunks=2)  # same shards, k = 2: spawned in place
+        assert len(sg.assemblers) == 2 and [a._actor_id for a in sg.actors] == shards
+        asm = list(sg.assemblers)
+        reload(sg, msg_chunks=None)  # k = 1: _trim kills them
+        assert sg.assemblers == [] and gone(asm)
+        assert [a._actor_id for a in sg.actors] == shards
+    finally:
+        sg.shutdown()
+
+
+def test_ppr_prologue_has_no_driver_barrier(graph, monkeypatch):
+    """A PPR call's first ray.get is its first wave's: the ppr_init sums
+    ride the prologue message wave as refs.  Every ray.get of a call
+    without checkpointing or collection is a wave's."""
+    import sys
+
+    from hipporag_ray.algos import iterate
+
+    real_get = ray.get
+    callers = []
+
+    def spy(*args, **kw):
+        frame = sys._getframe(1)
+        if frame.f_globals.get("__name__") == iterate.__name__:
+            callers.append(frame.f_code.co_name)
+        return real_get(*args, **kw)
+
+    g, _ = graph
+    ds = rd.from_arrow(
+        pa.table({"vid": [0, 3], "query_idx": [0, 1], "weight": [1.0, 2.0]})
+    )
+    sg = ShardedGraph(g.adj_path, g.n_vertices, n_shards=2)
+    try:
+        monkeypatch.setattr(ray, "get", spy)
+        for kw in (dict(resets=[([0, 5], [1.0, 2.0]), ([7], [1.0])]), dict(reset_dataset=ds)):
+            callers.clear()
+            _, metrics = personalized_pagerank(sg, n_queries=2, collect=False, **kw)
+            assert callers == ["_superstep"] * len(metrics)
+    finally:
+        monkeypatch.undo()
+        sg.shutdown()
+
+
+def test_bad_reset_fails_loudly_then_pool_serves(graph):
+    """With no barrier before the first wave, a bad reset (vids outside
+    the graph, a negative or too-large query_idx) still raises
+    ValueError naming the culprits, at the first wave's get; the same
+    pool then answers a valid call."""
+    import re
+
+    g, e = graph
+    src, dst, w = _edge_arrays(e)
+    n = g.n_vertices
+
+    def triples(vid, qidx):
+        return rd.from_arrow(
+            pa.table(
+                {
+                    "vid": pa.array(vid, pa.int64()),
+                    "query_idx": pa.array(qidx, pa.int64()),
+                    "weight": pa.array([1.0] * len(vid)),
+                }
+            )
+        )
+
+    for n_shards in (1, 3):
+        sg = ShardedGraph(g.adj_path, n, n_shards=n_shards)
+        try:
+            with pytest.raises(ValueError, match=re.escape(f"(e.g. [{n}, -3])")):
+                personalized_pagerank(
+                    sg, resets=[([0, n, -3], [1.0, 1.0, 1.0])], n_queries=1
+                )
+            for vid, qidx, bad in (([0, 1], [0, -1], -1), ([0], [5], 5)):
+                msg = re.escape(f"query_idx outside [0, 2) (e.g. [{bad}])")
+                with pytest.raises(ValueError, match=msg):
+                    personalized_pagerank(sg, reset_dataset=triples(vid, qidx), n_queries=2)
+            got, _ = personalized_pagerank(sg, resets=[([2, 9], [0.5, 1.5])], n_queries=1)
+            want = ppr_oracle(n, src, dst, w, reset=_oracle_reset(n, [2, 9], [0.5, 1.5]))
+            np.testing.assert_allclose(got[:, 0], want, atol=1e-6)
+        finally:
+            sg.shutdown()

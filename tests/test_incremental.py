@@ -533,3 +533,35 @@ def test_sliced_writes_equal_unsliced(ray_session, tmp_path, monkeypatch):
     finally:
         a.close()
         b.close()
+
+
+@pytest.mark.parametrize("n_values,n_keys", [(0, 0), (0, 30), (50, 0), (400, 150)])
+def test_in_keys_equals_set_membership(n_values, n_keys):
+    """The store's key-membership mask (a hash lookup) equals Python set
+    membership on random string keys, for numpy, arrow and chunked
+    arrow values, empty sides included."""
+    import pyarrow as pa
+
+    from hipporag_ray.state.parts import in_keys
+
+    rng = np.random.default_rng(n_values + n_keys)
+    alphabet = np.array(list("abcdefgh"))
+
+    def draw(k):
+        # short random strings over a small alphabet, so values and keys overlap
+        return np.array(
+            ["".join(rng.choice(alphabet, rng.integers(1, 4))) for _ in range(k)],
+            dtype=object,
+        )
+
+    values, keys = draw(n_values), draw(n_keys)
+    want = [v in set(keys) for v in values]
+    half = n_values // 2
+    for vals in (
+        values,
+        pa.array(values, pa.string()),
+        pa.chunked_array([values[:half], values[half:]], pa.string()),
+    ):
+        got = in_keys(vals, keys)
+        assert got.dtype == bool and got.tolist() == want
+    assert in_keys(values, list(keys)).tolist() == want

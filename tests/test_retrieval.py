@@ -467,3 +467,53 @@ def test_empty_index_changes_nothing(ray_session, tmp_path):
         assert got[0]["docs"]
     finally:
         eng.close()
+
+
+def test_bad_reset_in_retrieve_fails_loudly(ray_session, tmp_path, monkeypatch):
+    """Seed vids outside the graph (entity links shifted past the last
+    vid) make retrieve raise ValueError naming them, at the PPR call's
+    first wave; the engine's pool then serves the next retrieve as
+    before and still answers PPR like the oracle."""
+    import re
+
+    from hipporag_ray.algos.iterate import personalized_pagerank
+    from hipporag_ray.algos.oracle import ppr_oracle
+
+    queries = ["alpha beta", "sigma tau"]
+    eng = HippoRagEngine(str(tmp_path / "wd"), dim=32, facts=False)
+    try:
+        eng.index(_tx(CORPUS_A))
+        want = eng.retrieve(queries, top_k=3)
+        n = eng.graph().n_vertices
+        real_link = eng._entity_link
+        shifted = []
+
+        def bad_link(q_ref):
+            link = real_link(q_ref)
+            link["vid"] = link["vid"] + n
+            shifted.extend(link["vid"].tolist()[:5])
+            return link
+
+        monkeypatch.setattr(eng, "_entity_link", bad_link)
+        with pytest.raises(ValueError, match="reset vids outside") as err:
+            eng.retrieve(queries, top_k=3)
+        assert shifted and re.search(re.escape(f"(e.g. {shifted})"), str(err.value))
+        monkeypatch.undo()
+
+        got = eng.retrieve(queries, top_k=3)
+        assert [r["docs"] for r in got] == [r["docs"] for r in want]
+        assert [r["doc_scores"] for r in got] == [r["doc_scores"] for r in want]
+        e = eng.graph().edges().to_pandas()
+        scores, _ = personalized_pagerank(eng._sg, resets=[([0, 2], [1.0, 3.0])], n_queries=1)
+        reset = np.zeros(n)
+        reset[[0, 2]] = [1.0, 3.0]
+        oracle = ppr_oracle(
+            n,
+            e["src"].to_numpy(np.int64),
+            e["dst"].to_numpy(np.int64),
+            e["weight"].to_numpy(np.float64),
+            reset=reset,
+        )
+        np.testing.assert_allclose(scores[:, 0], oracle, atol=1e-6)
+    finally:
+        eng.close()

@@ -8,10 +8,12 @@ iterative algorithms through the public API and compare two runs.
 Run mode writes a seeded synthetic symmetric adjacency (~2.7k vertices
 with heavy-tailed degrees, so ``hub_min_degree=64`` salts ~160 hubs;
 isolated vertices exercise dangling mass) and records, at shard counts
-4, 6 and 9 with ``msg_chunks=2``, in precise and float32 message modes:
-list-reset and dataset-reset PPR (scores and per-wave active query
-counts), PageRank, connected components, label propagation and
-coreness.  One list-reset PPR run with ``checkpoint_every=3`` records
+4, 6 and 9 with ``msg_chunks=2`` (assembler actors) and at shard counts
+1 and 4 with ``msg_chunks=1`` (each step merges the shard messages
+itself), in precise and float32 message modes: list-reset and
+dataset-reset PPR (scores and per-wave active query counts), PageRank,
+connected components, label propagation and coreness.  One list-reset
+PPR run with ``checkpoint_every=3`` (4 shards, ``msg_chunks=2``) records
 its manifest ``iter`` and ``active`` entries.  Compare mode exits
 non-zero on any missing key or any array that is not bit-identical.
 Only public names are used, so the same script runs on both commits.
@@ -33,6 +35,8 @@ N_VERTICES = 2700
 N_RECORDS = 40000
 N_QUERIES = 6
 SHARD_COUNTS = (4, 6, 9)
+# (shard count, msg_chunks, key suffix)
+POOLS = [(p, 2, "") for p in SHARD_COUNTS] + [(p, 1, "_k1") for p in (1, 4)]
 
 
 def write_adjacency(path: str, seed: int = 5) -> None:
@@ -108,11 +112,11 @@ def run(out_path: str) -> None:
                 )
             ).repartition(3)
             for precise in (True, False):
-                for p in SHARD_COUNTS:
-                    key = f"{'precise' if precise else 'f32'}_p{p}"
+                for p, k, suffix in POOLS:
+                    key = f"{'precise' if precise else 'f32'}_p{p}{suffix}"
                     sg = ShardedGraph(
                         adj, N_VERTICES, n_shards=p, hub_min_degree=64,
-                        msg_chunks=2, precise=precise,
+                        msg_chunks=k, precise=precise,
                     )
                     try:
                         arrays[f"{key}_n_hubs"] = np.array([len(sg.hubs)])
@@ -132,7 +136,7 @@ def run(out_path: str) -> None:
                         arrays[f"{key}_cc"] = connected_components(sg)[0]
                         arrays[f"{key}_lp"] = label_propagation(sg)[0]
                         arrays[f"{key}_coreness"] = coreness(sg)[0]
-                        if precise and p == SHARD_COUNTS[0]:
+                        if precise and p == SHARD_COUNTS[0] and k == 2:
                             ck = os.path.join(tmp, "ck")
                             s, _ = personalized_pagerank(
                                 sg, resets=resets, n_queries=N_QUERIES,

@@ -1,11 +1,13 @@
 """Per-wave latency-floor probe (BASELINE.md scaling appendix).
 
 The flagship PPR iteration is a wave: driver dispatches one pull RPC
-per shard actor, k zero-CPU assemblers merge the contributions, the
-driver folds the per-column convergence state.  On the sf0.1 graph at
-32 CPUs the compiled kernel now accounts for only ~40 ms of each wave,
-so the 8->32 scaling pair measures the FIXED wave cost (dispatch +
-readback + assemble latency), not edge-scan throughput.  This probe
+per shard actor, the contributions are merged (by k zero-CPU
+assemblers when the pool has k > 1 message chunks, inside each pull
+when it has one), the driver folds the per-column convergence state.
+On the sf0.1 graph at 32 CPUs the compiled kernel now accounts for
+only ~40 ms of each wave, so the 8->32 scaling pair measures the
+FIXED wave cost (dispatch + readback + assemble latency), not
+edge-scan throughput.  This probe
 measures that floor directly: a ~500-vertex graph (kernel ~= 0) run
 through the identical wave machinery at the SAME shard fan-out the
 flagship uses per CPU level (n_shards = 2 x CPUs), in fresh
@@ -15,7 +17,10 @@ affinity-pinned processes.
     GRAFT_FLOOR_LEVELS=2,8 python tools/wave_floor_probe.py
 
 Prints one JSON line per level: {num_cpus, n_shards, iters,
-sec_per_wave, ...} plus a summary with the 8->32 floor ratio.  The
+sec_per_wave, ...} plus a summary with the 8->32 floor ratio.
+``sec_per_wave`` is the mean of a call's per-wave ``wall_s``; the first
+wave's also holds the call's prologue (reset routing, ``ppr_init``,
+normalization), which has no driver barrier before it.  The
 floor is a single-box artifact class: on a real cluster the same
 dispatch is one RPC per NODE-pool, amortized over hours of per-node
 edge scan at the north rule's 10^12-turn scale.
