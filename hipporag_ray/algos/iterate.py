@@ -36,7 +36,9 @@ has k > 1.  A PPR call has no driver barrier before its first wave:
 ``ppr_init``'s column sums go to the prologue ``message`` wave as refs,
 each shard normalizes its own reset from them, and the first
 ``ray.get`` is the first wave's.  A bad reset (vids or query_idx out of
-range) therefore raises its ``ValueError`` there.
+range) therefore raises its ``ValueError`` there.  The label kinds
+likewise initialize in the prologue message (coreness from the P
+shards' degree partials, passed as refs).
 
 A save point is a checkpoint BARRIER — when the next wave would start
 past iteration ``it`` with ``it % checkpoint_every == 0``, the driver
@@ -341,7 +343,8 @@ def _superstep(
     metrics).  ``prog`` (``_PPR``, ``_Labels``) gives the step ``kind``,
     the lineage ``meta``, the checkpointed score columns ``n_queries``,
     ``restore`` (resumed manifest entry or None -> converged), the next
-    wave's ``params``, the prologue message's extra args ``prologue``,
+    wave's ``params``, the init args of the prologue message
+    ``prologue`` (None: publish the loaded state without an init),
     the ``assemble`` call (the P message refs themselves when the pool has
     no assemblers), ``consume`` (one wave's
     outputs -> record, converged, save fields; ``draining`` when no
@@ -373,8 +376,10 @@ def _superstep(
     ck.reset_metrics(start_iter)
 
     metrics: list[dict] = []
+    init = prog.prologue is not None
     msg_refs = [
-        a.message.remote(prog.kind, *prog.params, *prog.prologue) for a in sg.actors
+        a.message.remote(prog.kind, *prog.params, *(prog.prologue or ()), init=init)
+        for a in sg.actors
     ]
     it = start_iter
     in_flight = None  # (iter, params, output refs)
@@ -566,19 +571,28 @@ def pagerank(sg: ShardedGraph, **kw) -> tuple[np.ndarray, list[dict]]:
 
 class _Labels:
     """A label fixpoint (CC min-label, LP weighted max-vote, coreness
-    h-index) as a superstep program over initialized shard labels: one
-    assembled (n,) label message per iteration, converged when no label
-    changed."""
+    h-index) as a superstep program: one assembled (n,) label message
+    per iteration, converged when no label changed.  A fresh run
+    initializes the labels in the prologue message (``labels_init``;
+    coreness ``core_init`` on the P shards' ``core_degree_partial``
+    refs, so no driver barrier precedes the first wave); a resumed run
+    publishes its loaded labels without an init."""
 
     n_queries = 0
     params = ()
-    prologue = ()
+    prologue = None
 
     def __init__(self, sg: ShardedGraph, kind: str, col: str, max_iter: int):
         self.sg, self.kind, self.col = sg, kind, col
         self.meta = {"max_iter": max_iter}
 
     def restore(self, entry: dict | None) -> bool:
+        if entry is None:
+            self.prologue = (
+                tuple(a.core_degree_partial.remote() for a in self.sg.actors)
+                if self.kind == "coreness"
+                else ()
+            )
         return False
 
     def assemble(self, msg_refs) -> list:
@@ -612,7 +626,6 @@ def connected_components(
     large-star/small-star variant would shrink that — the substrate
     (scatter min / gather min) stays the same.
     """
-    ray.get([a.labels_init.remote() for a in sg.actors])
     prog = _Labels(sg, "cc", "component", max_iter)
     return _superstep(sg, prog, max_iter, checkpoint_dir, checkpoint_every, resume, collect)
 
@@ -626,7 +639,6 @@ def label_propagation(
     collect: bool = True,
 ) -> tuple[np.ndarray | None, list[dict]]:
     """Synchronous weighted label propagation (deterministic tie-break)."""
-    ray.get([a.labels_init.remote() for a in sg.actors])
     prog = _Labels(sg, "lp", "label", max_iter)
     return _superstep(sg, prog, max_iter, checkpoint_dir, checkpoint_every, resume, collect)
 
@@ -645,19 +657,13 @@ def coreness(
     values; the sequence is monotonically non-increasing and converges
     to the coreness, here in the same fused message/pull waves as CC/LP
     (hub neighbor multisets travel as run-length COO partials, merged
-    by the hub's owner).  Init is a two-phase degree collective:
-    per-shard chunk-row degrees plus the cross-shard sum of per-hub
-    push-row counts (a hub's rows live on its neighbors' owners).
-    Degrees and neighbor multisets count distinct neighbors, so the
+    by the hub's owner).  The initial degree is per-shard chunk-row
+    degree plus, for a hub, the cross-shard sum of its push-row counts
+    (a hub's rows live on its neighbors' owners): the P shards'
+    ``core_degree_partial`` refs ride the prologue message, where each
+    shard sums them, so the driver waits on nothing before the first
+    wave.  Degrees and neighbor multisets count distinct neighbors, so the
     result is the simple-graph core number of ``coreness_oracle`` even
     on adjacency with parallel records and self-loops."""
-    hub_parts = ray.get([a.core_degree_partial.remote() for a in sg.actors])
-    hub_deg = (
-        np.sum(hub_parts, axis=0).astype(np.int64)
-        if hub_parts and len(hub_parts[0])
-        else np.zeros(0, np.int64)
-    )
-    hub_ref = ray.put(hub_deg)
-    ray.get([a.core_init.remote(hub_ref) for a in sg.actors])
     prog = _Labels(sg, "coreness", "coreness", max_iter)
     return _superstep(sg, prog, max_iter, checkpoint_dir, checkpoint_every, resume, collect)

@@ -679,6 +679,17 @@ class GraphShard:
         return self.labels, votes
 
     def lp_pull(self, label_msgs) -> int:
+        """Weighted max-vote: every owned vertex adopts the label with
+        the largest summed weight over its vote rows (the chunk rows,
+        labelled from the merged label vector, then the owned hubs' vote
+        partials), a tie going to the smallest label; a vertex with no
+        rows keeps its label.  With the compiled kernels one
+        ``lp_vote`` pass buckets the rows by owner (stable counting
+        sort) and tallies each owner's labels in a hash table, summing
+        in row order as ``lp_oracle`` does.  The numpy fallback groups
+        by two lexsorts and sums with ``np.add.reduceat``, whose
+        pairwise order can differ in the last bit; both pick the same
+        labels unless two sums tie within rounding."""
         global_lab, vote_parts = label_msgs
         all_own, all_lab, all_w = [], [], []
         if len(self._gown):
@@ -702,20 +713,24 @@ class GraphShard:
                     all_w.append(ws[keep])
         nxt = self.labels.copy()
         if all_own:
-            own_c = np.concatenate(all_own)
-            lab_c = np.concatenate(all_lab)
-            w_c = np.concatenate(all_w)
-            order = np.lexsort((lab_c, own_c))
-            d2, l2, w2 = own_c[order], lab_c[order], w_c[order]
-            new_group = np.concatenate([[True], (np.diff(d2) != 0) | (np.diff(l2) != 0)])
-            starts = np.nonzero(new_group)[0]
-            wsum = np.add.reduceat(w2, starts)
-            d3, l3 = d2[starts], l2[starts]
-            # winner per own vid: max wsum, tie -> smallest label
-            order2 = np.lexsort((l3, -wsum, d3))
-            d4 = d3[order2]
-            first = np.concatenate([[True], np.diff(d4) != 0])
-            nxt[d4[first]] = l3[order2][first]
+            # one piece (one message chunk, no hub votes) is used as it is
+            own_c, lab_c, w_c = (
+                p[0] if len(p) == 1 else np.concatenate(p) for p in (all_own, all_lab, all_w)
+            )
+            if self._kern is not None:
+                self._kern.lp_vote(own_c, lab_c, w_c, nxt)
+            else:
+                order = np.lexsort((lab_c, own_c))
+                d2, l2, w2 = own_c[order], lab_c[order], w_c[order]
+                new_group = np.concatenate([[True], (np.diff(d2) != 0) | (np.diff(l2) != 0)])
+                starts = np.nonzero(new_group)[0]
+                wsum = np.add.reduceat(w2, starts)
+                d3, l3 = d2[starts], l2[starts]
+                # winner per own vid: max wsum, tie -> smallest label
+                order2 = np.lexsort((l3, -wsum, d3))
+                d4 = d3[order2]
+                first = np.concatenate([[True], np.diff(d4) != 0])
+                nxt[d4[first]] = l3[order2][first]
         changed = int((nxt != self.labels).sum())
         self.labels = nxt
         return changed
@@ -769,18 +784,25 @@ class GraphShard:
         _, first = np.unique(p_hub * max(self.local_n, 1) + p_own, return_index=True)
         self._core_push = (p_own[first], p_hub[first])
 
-    def core_init(self, hub_deg: np.ndarray) -> None:
+    def core_init(self, *hub_parts) -> None:
+        """Start every owned vertex at its degree: the chunk-row degree
+        cached by this shard's ``core_degree_partial``, plus, for an owned
+        hub, its push-row count summed over the P shards' partials
+        ``hub_parts`` in shard order."""
         deg = self._core_chunk_deg.copy()
         if len(self._hub_owned_idx):
+            hub_deg = np.sum(hub_parts, axis=0)
             deg[self._hub_local] += hub_deg[self._hub_owned_idx]
         self.labels = deg  # coreness state rides the labels slot
-        # a fresh run (or a resume overwriting labels) must not inherit
-        # the previous run's active-set baseline
+        # a fresh run must not inherit the previous run's active-set
+        # baseline (load_state clears it for a resumed one)
         self._core_prev_global = None
 
     def core_msg(self):
         """(values, hub COO (hub_idx, value, count)): per-hub neighbor
         value multisets from my push rows, run-length compressed."""
+        if self._core_rows is None:  # a resumed run skips core_degree_partial
+            self._build_core_pairs()
         p_own, p_hub = self._core_push
         if len(p_own):
             vals = self.labels[p_own]
@@ -914,17 +936,21 @@ class GraphShard:
         pos = None if len(active) == len(published) else np.searchsorted(published, active)
         return assemble_ppr(msgs, pos)
 
-    def message(self, kind: str, *args):
+    def message(self, kind: str, *args, init: bool = False):
         """``kind``'s message from the current state — the prologue wave
-        before the first ``step``.  ``ppr`` args are (damping, active,
-        *sums): when the P shards' ``ppr_init`` column sums are given,
-        the reset is normalized by them first, so a PPR call's first
-        wave depends on every shard's init through its data and no
-        driver barrier sits between them.  The label kinds take none."""
-        if kind == "ppr" and len(args) > 2:
-            self.ppr_normalize_reset(*args[2:])
-            args = args[:2]
-        return self._KINDS[kind][1](self, *args)
+        before the first ``step``.  ``args`` are the kind's params
+        (``ppr``: damping, active; the label kinds have none), then,
+        with ``init``, the args of the kind's init, which runs first:
+        ``ppr_normalize_reset`` on the P shards' ``ppr_init`` column
+        sums, ``labels_init`` for ``cc``/``lp``, ``core_init`` on the P
+        shards' ``core_degree_partial`` counts.  A call's first wave so
+        depends on every shard's init through its data, and no driver
+        barrier sits between them.  Without ``init`` (a resumed label
+        run) the message is the loaded state's."""
+        n = 2 if kind == "ppr" else 0
+        if init:
+            self._INITS[kind](self, *args[n:])
+        return self._KINDS[kind][1](self, *args[:n])
 
     # kind -> (pull, publish)
     _KINDS = {
@@ -932,6 +958,13 @@ class GraphShard:
         "cc": (cc_pull, labels_msg),
         "lp": (lp_pull, lp_msg),
         "coreness": (core_pull, core_msg),
+    }
+    # kind -> the init ``message(..., init=True)`` runs before publishing
+    _INITS = {
+        "ppr": ppr_normalize_reset,
+        "cc": labels_init,
+        "lp": labels_init,
+        "coreness": core_init,
     }
 
     # ------------------------------------------------------------------
@@ -965,6 +998,8 @@ class GraphShard:
             ).astype(np.float64)
         if "label" in tbl.column_names:
             self.labels = tbl["label"].to_numpy(zero_copy_only=False).astype(np.int64)
+            # coreness's active-set baseline belongs to the replaced labels
+            self._core_prev_global = None
 
 
 def assemble_ppr(msgs, pos=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,7 +19,10 @@ Kernels in the one compiled source:
 * ``segmin_i64`` — the connected-components min-label pull;
 * ``tri_merge`` — triangle counting's per-edge merge intersection of
   the two vid-sorted forward lists (``algos/triangles.py``), replacing
-  a numpy wedge expansion plus a binary search per wedge.
+  a numpy wedge expansion plus a binary search per wedge;
+* ``lp_vote`` — the label-propagation max-vote pull: a stable counting
+  sort of the vote rows by owner, then one open-addressing label tally
+  per owner, replacing two lexsorts over the shard's rows per wave.
 
 This is an optional acceleration: the kernels are compiled once per
 node with the system C compiler into a content-addressed cache under
@@ -31,8 +34,8 @@ loaded via ctypes.  Any failure (no compiler, sandboxed /tmp, load
 error) silently falls back to the numpy path in ``csr.GraphShard``
 and ``triangles.triangle_count``; set ``HIPPORAG_RAY_NO_NATIVE=1`` to
 force the fallback.  Results are allclose between paths (the compiled
-path is the more accurate one; triangle counts are exact on both);
-regression tests pin both.
+path is the more accurate one; triangle counts are exact on both, and
+label propagation picks the same labels); regression tests pin both.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ logger = logging.getLogger(__name__)
 
 _SRC = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <xmmintrin.h>
 
 /* nxt[uniq[s], :] += sum over segment s of w[e] * msg[other[e], :]
@@ -182,6 +186,115 @@ int64_t tri_merge(const int64_t *indptr, const int64_t *adj, int64_t n,
     }
     return total;
 }
+
+/* Label propagation's weighted max-vote pull.  Row i is one vote of
+   weight w[i] for label lab[i] at owned vertex own[i].  A stable
+   counting sort buckets the rows by owner, keeping their input order
+   (rows already grouped by owner, as one message chunk without hub
+   votes gives them, are read in place); an open-addressing table then
+   sums each owner's weight per label in that order, and nxt[v] becomes
+   the label with the largest sum, a tie going to the smallest label.
+   Owners with no rows keep nxt[v].  Returns 0, -1 (nothing written)
+   if an owner is outside [0, n), or -2 if a scratch allocation failed. */
+int64_t lp_vote(const int64_t *own, const int64_t *lab, const double *w,
+                int64_t m, int64_t *nxt, int64_t n) {
+    int grouped = 1;
+    for (int64_t i = 0; i < m; i++) {
+        if (own[i] < 0 || own[i] >= n)
+            return -1;
+        if (i > 0 && own[i] < own[i - 1])
+            grouped = 0;
+    }
+    if (m == 0)
+        return 0;
+    /* owner v's rows are [end[v], end[v + 1]) */
+    int64_t *end = calloc((size_t)n + 1, sizeof(int64_t));
+    if (!end)
+        return -2;
+    for (int64_t i = 0; i < m; i++)
+        end[own[i] + 1]++;
+    int64_t maxg = 0;
+    for (int64_t v = 0; v < n; v++) {
+        if (end[v + 1] > maxg) maxg = end[v + 1];
+        end[v + 1] += end[v];
+    }
+    const int64_t *bl = lab;
+    const double *bw = w;
+    int64_t *lab2 = NULL, *cur = NULL;
+    double *w2 = NULL;
+    if (!grouped) {
+        lab2 = malloc((size_t)m * sizeof(int64_t));
+        w2 = malloc((size_t)m * sizeof(double));
+        cur = malloc((size_t)n * sizeof(int64_t));
+        if (!lab2 || !w2 || !cur) {
+            free(end); free(lab2); free(w2); free(cur);
+            return -2;
+        }
+        for (int64_t v = 0; v < n; v++)
+            cur[v] = end[v];
+        for (int64_t i = 0; i < m; i++) {
+            int64_t r = cur[own[i]]++;
+            lab2[r] = lab[i];
+            w2[r] = w[i];
+        }
+        bl = lab2;
+        bw = w2;
+    }
+    int64_t cap = 2;
+    while (cap < 2 * maxg) cap <<= 1;
+    int64_t *key = malloc((size_t)cap * sizeof(int64_t));
+    double *sum = malloc((size_t)cap * sizeof(double));
+    int64_t *stamp = calloc((size_t)cap, sizeof(int64_t));
+    int64_t *used = malloc((size_t)maxg * sizeof(int64_t));
+    if (!key || !sum || !stamp || !used) {
+        free(end); free(lab2); free(w2); free(cur);
+        free(key); free(sum); free(stamp); free(used);
+        return -2;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        int64_t a = end[v], b = end[v + 1];
+        if (b - a == 1) {
+            nxt[v] = bl[a];
+            continue;
+        }
+        if (b == a)
+            continue;
+        /* a table of 2^bits >= 2 x rows slots; Fibonacci hashing takes
+           the product's top bits */
+        int bits = 1;
+        while ((1LL << bits) < 2 * (b - a)) bits++;
+        uint64_t mask = (1ULL << bits) - 1;
+        int64_t nu = 0, gen = v + 1;
+        for (int64_t r = a; r < b; r++) {
+            int64_t l = bl[r];
+            uint64_t h = ((uint64_t)l * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
+            while (stamp[h] == gen && key[h] != l)
+                h = (h + 1) & mask;
+            if (stamp[h] == gen) {
+                sum[h] += bw[r];
+            } else {
+                stamp[h] = gen;
+                key[h] = l;
+                sum[h] = bw[r];
+                used[nu++] = (int64_t)h;
+            }
+        }
+        int64_t best = key[used[0]];
+        double top = sum[used[0]];
+        for (int64_t j = 1; j < nu; j++) {
+            double s = sum[used[j]];
+            int64_t l = key[used[j]];
+            if (s > top || (s == top && l < best)) {
+                top = s;
+                best = l;
+            }
+        }
+        nxt[v] = best;
+    }
+    free(end); free(lab2); free(w2); free(cur);
+    free(key); free(sum); free(stamp); free(used);
+    return 0;
+}
 """
 
 def _cache_dir() -> str:
@@ -229,6 +342,8 @@ class _Kernels:
             fn.restype = None
         lib.tri_merge.argtypes = [_i64p, _i64p, _I, _i64p, _i64p, _I, _i64p]
         lib.tri_merge.restype = _I
+        lib.lp_vote.argtypes = [_i64p, _i64p, _f64p, _I, _i64p, _I]
+        lib.lp_vote.restype = _I
         self._lib = lib
 
     @staticmethod
@@ -338,6 +453,31 @@ class _Kernels:
         if found < 0:
             raise ValueError(f"tri_merge: indptr not monotone or a vid outside [0, {len(cnt)})")
         return int(found)
+
+    def lp_vote(
+        self, own: np.ndarray, lab: np.ndarray, w: np.ndarray, nxt: np.ndarray
+    ) -> None:
+        """Weighted max-vote per owner: ``nxt[v]`` becomes the label with
+        the largest float64 sum of ``w`` over the rows with ``own == v``
+        and that label (summed in input order; a tie goes to the smallest
+        label).  Vertices with no rows keep ``nxt[v]``."""
+        for a, dt, name in ((own, np.int64, "own"), (lab, np.int64, "lab"), (w, np.float64, "w")):
+            self._check(a, dt, name)
+        self._check(nxt, np.int64, "nxt", writable=True)
+        if own.ndim != 1 or lab.ndim != 1 or w.ndim != 1 or nxt.ndim != 1:
+            raise ValueError(
+                f"own/lab/w/nxt must be 1-D: {own.shape} {lab.shape} {w.shape} {nxt.shape}"
+            )
+        if len(lab) != len(own) or len(w) != len(own):
+            raise ValueError(f"own/lab/w length mismatch: {len(own)} / {len(lab)} / {len(w)}")
+        rc = self._lib.lp_vote(
+            self._pp(own, _i64p), self._pp(lab, _i64p), self._pp(w, _f64p), len(own),
+            self._pp(nxt, _i64p), len(nxt),
+        )
+        if rc == -1:
+            raise ValueError(f"lp_vote: an owner outside [0, {len(nxt)})")
+        if rc == -2:
+            raise MemoryError("lp_vote: scratch allocation failed")
 
 
 _cached: _Kernels | None | bool = False  # False = not attempted yet

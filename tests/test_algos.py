@@ -1034,3 +1034,267 @@ def test_bad_reset_fails_loudly_then_pool_serves(graph):
             np.testing.assert_allclose(got[:, 0], want, atol=1e-6)
         finally:
             sg.shutdown()
+
+
+def _write_adj(path, src, dst, w):
+    """Symmetric, src-sorted adjacency parquet of the records (src, dst, w)."""
+    adj = pa.table(
+        {
+            "src": np.concatenate([src, dst]).astype(np.int64),
+            "dst": np.concatenate([dst, src]).astype(np.int64),
+            "weight": np.concatenate([w, w]).astype(np.float64),
+        }
+    ).sort_by([("src", "ascending"), ("dst", "ascending")])
+    os.makedirs(path)
+    pq.write_table(adj, os.path.join(path, "part-0.parquet"))
+    return str(path)
+
+
+def _manual_lp(shards, max_iter):
+    """Label propagation on in-process shards, stopping as ``lp_oracle``
+    does: at a wave that changes nothing, or after ``max_iter`` waves."""
+    from hipporag_ray.state.csr import assemble_labels
+
+    msgs = [s.message("lp", init=True) for s in shards]
+    for _ in range(max_iter):
+        outs = []
+        for s in shards:
+            # one chunk: the step merges the P messages; k > 1: it takes
+            # the assembled message, as from an assembler actor
+            args = msgs if len(s._chunks) == 1 else (assemble_labels(msgs),)
+            outs.append(s.step("lp", *args))
+        changed, msgs = zip(*outs)
+        if sum(changed) == 0:
+            break
+    return np.concatenate([s.labels for s in shards])
+
+
+def _lp_case(name, graph, tmp_path):
+    """(adj path, n, src, dst, w, hubs, msg chunk bounds) of one of the
+    kernel-vs-fallback graphs."""
+    rng = np.random.default_rng(17)
+    if name == "built":
+        g, e = graph
+        src, dst, w = _edge_arrays(e)
+        return g.adj_path, g.n_vertices, src, dst, w, None, None
+    if name == "heavy_tailed":
+        # Zipf-like endpoints: a few vertices get hundreds of rows and are
+        # salted as hubs; two message chunks split the vid range
+        n, m = 600, 6000
+        p = 1.0 / np.arange(1, n + 1) ** 0.6
+        p /= p.sum()
+        src, dst = rng.choice(n, m, p=p), rng.choice(n, m, p=p)
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        w = rng.random(len(src))
+        deg = np.bincount(np.concatenate([src, dst]), minlength=n)
+        hubs = np.nonzero(deg >= 64)[0].astype(np.int64)
+        assert len(hubs) >= 4
+        cb = np.array([0, n // 3, n], dtype=np.int64)
+        return _write_adj(tmp_path / "adj", src, dst, w), n, src, dst, w, hubs, cb
+    if name == "dyadic_ties":
+        # weights k/8 sum exactly in any order, so equal totals are exact
+        # ties.  Planted: 10 sees label 11 via two parallel records
+        # (0.25 + 0.5) and label 12 via one (0.75); 20 sees 21 via one
+        # record (0.75) and 22 via two (0.5 + 0.25)
+        n, m = 400, 2400
+        src = rng.integers(30, n, m)
+        dst = rng.integers(30, n, m)
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        w = rng.integers(1, 5, len(src)) / 8.0
+        src = np.concatenate([src, [10, 10, 10, 20, 20, 20]])
+        dst = np.concatenate([dst, [11, 11, 12, 21, 22, 22]])
+        w = np.concatenate([w, [0.25, 0.5, 0.75, 0.75, 0.5, 0.25]])
+        return _write_adj(tmp_path / "adj", src, dst, w), n, src, dst, w, None, None
+    # isolated: every third vid has no record at all
+    n = 300
+    live = np.array([v for v in range(n) if v % 3], dtype=np.int64)
+    src = rng.choice(live, 900)
+    dst = rng.choice(live, 900)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    w = rng.random(len(src))
+    return _write_adj(tmp_path / "adj", src, dst, w), n, src, dst, w, None, None
+
+
+@pytest.mark.parametrize("case", ["built", "heavy_tailed", "dyadic_ties", "isolated"])
+def test_lp_kernel_matches_fallback_and_oracle(graph, tmp_path, case):
+    """The compiled ``lp_vote`` pull, the numpy lexsort fallback and
+    ``lp_oracle`` give identical labels: on the built graph, on a
+    heavy-tailed graph with salted hubs and two message chunks, with
+    planted exact ties (the smallest label wins) and with isolated
+    vertices (they keep their own label)."""
+    from hipporag_ray.state.csr import GraphShard
+    from hipporag_ray.state.native import native
+
+    if native() is None:
+        pytest.skip("no C compiler available — numpy fallback only")
+    path, n, src, dst, w, hubs, cb = _lp_case(case, graph, tmp_path)
+    bounds = np.array([0, n // 4, n // 2, n], dtype=np.int64)
+
+    def run(use_native, max_iter):
+        shards = [
+            GraphShard(path, i, bounds, n, hubs=hubs, use_native=use_native,
+                       msg_chunk_bounds=cb)
+            for i in range(3)
+        ]
+        assert all((s._kern is not None) == use_native for s in shards)
+        if hubs is not None:  # hub votes and chunked rows are exercised
+            assert sum(len(s._push[0]) for s in shards) > 0
+            assert all(len(s._chunks) == 2 for s in shards)
+        return _manual_lp(shards, max_iter)
+
+    for max_iter in (1, 50):
+        fast, slow = run(True, max_iter), run(False, max_iter)
+        want = lp_oracle(n, src, dst, w, max_iter=max_iter)
+        np.testing.assert_array_equal(fast, want)
+        np.testing.assert_array_equal(slow, want)
+    if case == "dyadic_ties":
+        first = run(True, 1)
+        assert (first[10], first[20]) == (11, 21)
+    if case == "isolated":
+        iso = np.arange(0, n, 3)
+        np.testing.assert_array_equal(fast[iso], iso)
+
+
+def test_lp_vote_guards():
+    """``_Kernels.lp_vote`` refuses a wrong dtype, a non-contiguous array,
+    mismatched lengths, a read-only ``nxt`` and an owner outside
+    [0, len(nxt)) instead of letting the C loop read or write out of
+    bounds; a refused call leaves ``nxt`` as it was."""
+    from hipporag_ray.state.native import native
+
+    kern = native()
+    if kern is None:
+        pytest.skip("no C compiler available — numpy fallback only")
+    own = np.array([0, 0, 0, 2, 2], np.int64)
+    lab = np.array([7, 5, 7, 9, 4], np.int64)
+    w = np.array([0.5, 1.0, 0.5, 2.0, 2.0])
+    nxt = np.arange(4, dtype=np.int64)
+    kern.lp_vote(own, lab, w, nxt)
+    assert nxt.tolist() == [5, 1, 4, 3]  # ties -> smallest label; 1, 3 keep theirs
+
+    def fresh():
+        return np.arange(4, dtype=np.int64)
+
+    bad = [
+        (own.astype(np.int32), lab, w, fresh()),  # own dtype
+        (own, lab.astype(np.float64), w, fresh()),  # lab dtype
+        (own, lab, w.astype(np.float32), fresh()),  # w dtype
+        (own, lab, w, fresh().astype(np.int32)),  # nxt dtype
+        (np.repeat(own, 2)[::2], lab, w, fresh()),  # strided own
+        (own, np.repeat(lab, 2)[::2], w, fresh()),  # strided lab
+        (own, lab[:-1], w, fresh()),  # lab length
+        (own, lab, w[:-1], fresh()),  # w length
+        (own.reshape(5, 1), lab.reshape(5, 1), w.reshape(5, 1), fresh()),  # 2-D
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            kern.lp_vote(*args)
+    for out_of_range in (-1, 4):
+        o = own.copy()
+        o[3] = out_of_range
+        got = fresh()
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            kern.lp_vote(o, lab, w, got)
+        assert got.tolist() == [0, 1, 2, 3]
+    ro = fresh()
+    ro.flags.writeable = False
+    with pytest.raises(ValueError):
+        kern.lp_vote(own, lab, w, ro)
+
+
+def test_label_prologue_has_no_driver_barrier(graph, monkeypatch):
+    """CC, LP and coreness initialize in the prologue message (coreness
+    from the shards' degree-partial refs): every ray.get of a call
+    without checkpointing or collection is a wave's, and the results
+    still match the oracles."""
+    import sys
+
+    from hipporag_ray.algos import iterate
+    from hipporag_ray.algos.iterate import coreness
+    from hipporag_ray.algos.oracle import coreness_oracle
+
+    real_get = ray.get
+    callers = []
+
+    def spy(*args, **kw):
+        frame = sys._getframe(1)
+        if frame.f_globals.get("__name__") == iterate.__name__:
+            callers.append(frame.f_code.co_name)
+        return real_get(*args, **kw)
+
+    g, e = graph
+    src, dst, w = _edge_arrays(e)
+    n = g.n_vertices
+    deg = np.bincount(src, minlength=n)
+    want = {
+        "component": cc_oracle(n, src, dst),
+        "label": lp_oracle(n, src, dst, w, max_iter=10),
+        "coreness": coreness_oracle(n, src, dst),
+    }
+    for kw in (dict(n_shards=2), dict(n_shards=3, hub_min_degree=int(np.sort(deg)[-3]),
+                                      msg_chunks=2)):
+        sg = ShardedGraph(g.adj_path, n, **kw)
+        try:
+            monkeypatch.setattr(ray, "get", spy)
+            for run, col in (
+                (connected_components, "component"),
+                (lambda sg, **k: label_propagation(sg, max_iter=10, **k), "label"),
+                (coreness, "coreness"),
+            ):
+                callers.clear()
+                _, metrics = run(sg, collect=False)
+                assert callers == ["_superstep"] * len(metrics)
+                tables = real_get([a.labels_table.remote(col) for a in sg.actors])
+                got = np.concatenate([t[col].to_numpy() for t in tables])
+                np.testing.assert_array_equal(got, want[col])
+        finally:
+            monkeypatch.undo()
+            sg.shutdown()
+
+
+def test_label_resume_equals_unresumed(graph, tmp_path):
+    """A CC, LP or coreness run stopped after a save point and resumed
+    skips the init and ends where an uninterrupted run does: on the pool
+    that ran it, after a full run in between (that run's coreness
+    active-set baseline must not leak into the resumed one), and on a
+    fresh pool (coreness builds its neighbour pairs without the degree
+    partials).  On the 7-vertex path the middle vertex's core number
+    drops at wave 3, after both its neighbours reached theirs at wave 2
+    (the save point), so a stale baseline would leave it at 2."""
+    from hipporag_ray.algos.iterate import coreness
+
+    g, _ = graph
+    path = np.arange(6, dtype=np.int64)
+    pools = [
+        (g.adj_path, g.n_vertices, dict(n_shards=3, hub_min_degree=16, msg_chunks=2)),
+        (_write_adj(tmp_path / "path", path, path + 1, np.ones(6)), 7, dict(n_shards=2)),
+    ]
+    for p, (adj, n, kw) in enumerate(pools):
+        sg = ShardedGraph(adj, n, **kw)
+        try:
+            assert p == 1 or len(sg.hubs)
+            for fn, max_iter in ((connected_components, 200), (label_propagation, 10),
+                                 (coreness, 200)):
+                name = fn.__name__
+                for fresh in (False, True):
+                    ck = str(tmp_path / f"{p}-{name}-{fresh}")
+                    fn(sg, max_iter=2, checkpoint_dir=ck, checkpoint_every=1)  # "crash"
+                    want, full = fn(sg, max_iter=max_iter)
+                    assert len(full) > 2, name
+                    pool = ShardedGraph(adj, n, **kw) if fresh else sg
+                    try:
+                        got, metrics = fn(
+                            pool, max_iter=max_iter, checkpoint_dir=ck, resume=True
+                        )
+                    finally:
+                        if fresh:
+                            pool.shutdown()
+                    assert metrics[0]["iter"] == 3, name  # resumed, not restarted
+                    np.testing.assert_array_equal(got, want, err_msg=name)
+            if p == 1:
+                assert want.tolist() == [1] * 7
+        finally:
+            sg.shutdown()
