@@ -57,7 +57,7 @@ from ..functions.hashing import md5_hex
 from ..functions.text import text_processing
 from ..algos.iterate import personalized_pagerank
 from ..stages.similarity import topk_tie_rows
-from ..stages.graph_build import ChunkToVertexRows, _to_chunk_rows, build_graph, load_graph
+from ..stages.graph_build import ChunkToVertexRows, _to_chunk_rows, build_graph, graph_config, load_graph
 from ..state.csr import ShardedGraph
 from ..state.embedding_store import EmbeddingStore, HashEmbedder
 from ..state.parts import block_columns, in_keys, new_rows, walk_parts, write_rows
@@ -1050,9 +1050,16 @@ class HippoRagEngine:
         chunks' edge partials through the int-key exchange
         (graph_build.delete_chunks_from_graph) instead of rebuilding
         the graph from the surviving corpus — the surviving corpus is
-        never re-extracted."""
+        never re-extracted.  An incremental delete of a graph with
+        synonymy edges raises ``ValueError`` before anything changes
+        (see ``graph_build.graph_config``)."""
         if incremental is None:
             incremental = not self.synonymy
+        incremental = incremental and os.path.exists(os.path.join(self.graph_dir, "manifest.json"))
+        if incremental:
+            # a graph the incremental delete refuses (synonymy edges)
+            # is refused before the corpus or a store loses a row
+            graph_config(self.graph_dir)
         del_chunk_ids = set(
             md5_hex(np.array(texts, dtype=object), prefix="chunk-").to_pylist()
         )
@@ -1062,7 +1069,7 @@ class HippoRagEngine:
         ray.get([_drop_turns_in_part.remote(p, del_ref) for p in self._corpus_parts()])
         self.chunk_store.delete(del_chunk_ids)
 
-        if incremental and os.path.exists(os.path.join(self.graph_dir, "manifest.json")):
+        if incremental:
             from ..stages.graph_build import delete_chunks_from_graph
 
             self._invalidate()

@@ -22,12 +22,36 @@ partitioned parquet so CSR shard actors can load their vid range with
 row-group pruning.  Walking the expansion once per direction is exactly
 the reference's undirected traversal of edge records
 (SimpleGraph.kt:141-147).
+
+Three writers share one commit path: :func:`build_graph` (full build),
+:func:`merge_delta` (incremental add) and
+:func:`delete_chunks_from_graph`.  They follow the graph's manifest
+(:func:`graph_config`), copy the graph through when they change nothing
+(:func:`_copy_through`), resolve edge partials by broadcast or join
+(:func:`_edge_partials`), sum them with the stored edges in one signed
+edge merge (:func:`_merge_edges`) and write edges, adjacency and
+manifest in one tail (:func:`_write_edges_adj_manifest`).  The full
+build keeps its distributed vertex dictionary (``hash_distinct`` +
+:func:`assign_dense_ids`): the incremental writer holds the delta's
+keys on the driver, which for a full build would be the whole corpus.
+
+A delete is the same edge merge with negated partials, plus a vid
+shift.  A deleted chunk can only orphan entities it mentions, so the
+vertices that die are the present deleted chunks plus those of their
+entities left without a passage edge: a delete-sized sorted list
+``dead``.  Survivors keep their order and move down by the dead vids
+below them, ``vid - searchsorted(dead, vid)`` — the dense renumbering
+of the survivors, with no join.  No edge survives on a dead vid (every
+edge of a deleted chunk cancels, and an entity with no passage edge
+left has no fact edge left either); one that does raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +62,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from .. import schema as _schema
 from ..functions.hashing import entity_key, md5_hex
 from ..functions.pairs import segment_pairs
 from ..functions.text import distinct_tokens_per_row, text_processing
@@ -54,7 +79,6 @@ def _to_chunk_rows(batch: pa.Table) -> pa.Table:
     from ..functions.hashing import chunk_key
 
     return pa.table({"chunk_key": chunk_key(text), "text": text})
-
 
 
 def _use_struct_keys(n_vertices: int, force: bool | None = None) -> bool:
@@ -94,26 +118,32 @@ def _decode_edges_table(batch: pa.Table, n: int, struct: bool) -> pa.Table:
     )
 
 
+def _key_table(src, dst, fact, weight, n: int, struct: bool) -> pa.Table:
+    """Edge rows -> the aggregation key layout: the packed int64
+    ``code2 = (src*n + dst)*2 + fact``, or the struct rows
+    ``(src, lo=dst*2 + fact)`` (see _use_struct_keys)."""
+    src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+    if struct:
+        keys = {"src": pa.array(src, pa.int64()), "lo": pa.array(dst * 2 + fact, pa.int64())}
+    else:
+        keys = {"code2": pa.array((src * n + dst) * 2 + fact, pa.int64())}
+    return pa.table({**keys, "weight": pa.array(weight, pa.float64())})
+
+
+_NO_ROWS = np.zeros(0, np.int64)
+
+
 def _encode_edges_table(batch: pa.Table, n: int, struct: bool) -> pa.Table:
     """(src, dst, weight, etype) edge rows -> the aggregation key layout
-    (the incremental add/delete paths merge re-encoded old edges with
-    new partials through the same exchange)."""
-    src = batch["src"].to_numpy(zero_copy_only=False)
-    dst = batch["dst"].to_numpy(zero_copy_only=False)
-    fact = (batch["etype"].to_numpy(zero_copy_only=False) == "fact").astype(np.int64)
-    if struct:
-        return pa.table(
-            {
-                "src": pa.array(src, type=pa.int64()),
-                "lo": pa.array(dst * 2 + fact, type=pa.int64()),
-                "weight": batch["weight"],
-            }
-        )
-    return pa.table(
-        {
-            "code2": pa.array((src * n + dst) * 2 + fact, type=pa.int64()),
-            "weight": batch["weight"],
-        }
+    (writers onto a graph merge its re-encoded edges with their
+    partials through the same exchange)."""
+    return _key_table(
+        batch["src"].to_numpy(zero_copy_only=False),
+        batch["dst"].to_numpy(zero_copy_only=False),
+        pc.equal(batch["etype"], "fact").to_numpy(zero_copy_only=False),
+        batch["weight"].to_numpy(zero_copy_only=False),
+        n,
+        struct,
     )
 
 
@@ -125,18 +155,22 @@ def _sum_edge_partials(partials: "rd.Dataset", struct: bool) -> "rd.Dataset":
     return int_key_sum(partials, "code2", "weight")
 
 
-def _empty_partial_table(struct: bool) -> pa.Table:
-    if struct:
-        return pa.table(
-            {
-                "src": pa.array([], pa.int64()),
-                "lo": pa.array([], pa.int64()),
-                "weight": pa.array([], pa.float64()),
-            }
-        )
-    return pa.table(
-        {"code2": pa.array([], pa.int64()), "weight": pa.array([], pa.float64())}
-    )
+def _kept_tokens(norm, min_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's tokens of at least ``min_len`` characters, in order:
+    the words, the row of each, and the count per row."""
+    from ..functions.text import tokenize
+
+    toks = tokenize(norm)
+    if isinstance(toks, pa.ChunkedArray):
+        toks = toks.combine_chunks()
+    flat = toks.flatten()
+    offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    n_rows = len(offs) - 1
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(offs))
+    keep = pc.utf8_length(flat).to_numpy(zero_copy_only=False) >= min_len
+    words, rows = flat.to_numpy(zero_copy_only=False)[keep], rows[keep]
+    return words, rows, np.bincount(rows, minlength=n_rows)
+
 
 class ChunkToIntEdgePartials:
     """Deduped chunk batch -> locally pre-aggregated *vid-coded* edge
@@ -220,41 +254,23 @@ class ChunkToIntEdgePartials:
             A, B = self._triple_pairs(norm, uniq_ents, uniq_vids)
 
         if self.struct_keys:
-            # two-int64 struct key (src, lo=dst*2+flag): no n^2 packing,
-            # so no vertex-count ceiling below 2^62
+            # two-int64 struct key: no n^2 packing, so no vertex-count
+            # ceiling below 2^62
             from .shuffle import _pair_partial_sum
 
-            A_u, B_u, cnt = _pair_partial_sum(A, B, np.ones(len(A)))
-            return pa.table(
-                {
-                    "src": pa.array(np.concatenate([p_src, A_u]), type=pa.int64()),
-                    "lo": pa.array(
-                        np.concatenate([ent_vids * 2, B_u * 2 + 1]), type=pa.int64()
-                    ),
-                    "weight": pa.array(
-                        np.concatenate([np.ones(len(p_src)), cnt]), type=pa.float64()
-                    ),
-                }
-            )
-
-        p_code = p_src * self.n + ent_vids
-        if len(A):
-            code_u, code_n = np.unique(A * self.n + B, return_counts=True)
+            A, B, cnt = _pair_partial_sum(A, B, np.ones(len(A)))
         else:
-            code_u = np.zeros(0, dtype=np.int64)
-            code_n = np.zeros(0, dtype=np.int64)
-
-        # single int64 shuffle key: (src*n + dst) * 2 + is_fact
-        # (capacity dispatched by _use_struct_keys at construction)
-        code2 = np.concatenate([p_code * 2, code_u * 2 + 1])
-        w = np.concatenate([np.ones(len(p_code)), code_n.astype(np.float64)])
-        return pa.table(
-            {
-                "code2": pa.array(code2, type=pa.int64()),
-                "weight": pa.array(w, type=pa.float64()),
-            }
+            # one int64 code per pair: np.unique sums the batch's repeats
+            code, cnt = np.unique(A * self.n + B, return_counts=True)
+            A, B = code // self.n, code % self.n
+        return _key_table(
+            np.concatenate([p_src, A]),
+            np.concatenate([ent_vids, B]),
+            np.repeat([0, 1], [len(p_src), len(A)]),
+            np.concatenate([np.ones(len(p_src)), cnt]),
+            self.n,
+            self.struct_keys,
         )
-
 
     def _triple_pairs(
         self, norm: pa.Array, uniq_ents: np.ndarray, uniq_vids: np.ndarray
@@ -266,23 +282,9 @@ class ChunkToIntEdgePartials:
         min_token_len-filtered token sequence; all three window
         elements are batch-vocabulary members, so dedup runs on int
         vid triples."""
-        import pyarrow.compute as pc
-
-        from ..functions.text import tokenize
-
         from ..functions.pairs import segment_windows_dedup
 
-        toks = tokenize(norm)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        flat = toks.flatten()
-        offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        n_rows = len(offs) - 1
-        words = flat.to_numpy(zero_copy_only=False)
-        rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(offs))
-        keep = pc.utf8_length(flat).to_numpy(zero_copy_only=False) >= self.min_token_len
-        words, rows = words[keep], rows[keep]
-        counts = np.bincount(rows, minlength=n_rows)
+        words, _rows, counts = _kept_tokens(norm, self.min_token_len)
         vid_seq = uniq_vids[np.searchsorted(uniq_ents, words)]
         _, s3, _, o3 = segment_windows_dedup(vid_seq, counts)
         ne = s3 != o3  # no self loops (HippoRAG.py:1064)
@@ -303,10 +305,6 @@ class ChunkToMentionRows:
         self.ordered = ordered
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        from ..functions.text import tokenize
-
         norm = text_processing(batch["text"])
         ckeys = batch["chunk_key"].to_numpy(zero_copy_only=False)
         if not self.ordered:
@@ -322,17 +320,7 @@ class ChunkToMentionRows:
                     "node_key": node_key,
                 }
             )
-        toks = tokenize(norm)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        flat = toks.flatten()
-        offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        n_rows = len(offs) - 1
-        words = flat.to_numpy(zero_copy_only=False)
-        rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(offs))
-        keep = pc.utf8_length(flat).to_numpy(zero_copy_only=False) >= self.min_token_len
-        words, rows = words[keep], rows[keep]
-        counts = np.bincount(rows, minlength=n_rows)
+        words, rows, counts = _kept_tokens(norm, self.min_token_len)
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
         pos = np.arange(len(words), dtype=np.int64) - starts[rows]
         uniq, inv = np.unique(words, return_inverse=True)
@@ -422,26 +410,16 @@ def _partials_via_join(
     # one join bucket, so per-batch np.unique is globally exact
     def passage(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or "chunk_vid" not in batch.column_names:
-            return _empty_partial_table(struct)
+            return _key_table(_NO_ROWS, _NO_ROWS, 0, _NO_ROWS, n, struct)
         cv = batch["chunk_vid"].to_numpy(zero_copy_only=False).astype(np.int64)
         ev = batch["ent_vid"].to_numpy(zero_copy_only=False).astype(np.int64)
         if struct:
             # distinct (chunk, entity) pairs without the n^2 packing
-            cu, eu, _cnt = _pair_partial_sum(cv, ev, np.ones(len(cv)))
-            return pa.table(
-                {
-                    "src": pa.array(cu, type=pa.int64()),
-                    "lo": pa.array(eu * 2, type=pa.int64()),
-                    "weight": pa.array(np.ones(len(cu), np.float64)),
-                }
-            )
-        code = np.unique(cv * n + ev)
-        return pa.table(
-            {
-                "code2": pa.array(code * 2, type=pa.int64()),
-                "weight": pa.array(np.ones(len(code), np.float64)),
-            }
-        )
+            cv, ev, _cnt = _pair_partial_sum(cv, ev, np.ones(len(cv)))
+        else:
+            code = np.unique(cv * n + ev)
+            cv, ev = code // n, code % n
+        return _key_table(cv, ev, 0, np.ones(len(cv)), n, struct)
 
     passage_rows = m2.map_batches(passage, batch_format="pyarrow")
 
@@ -471,23 +449,9 @@ def _partials_via_join(
 
     def fact(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or "a" not in batch.column_names:
-            return _empty_partial_table(struct)
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if struct:
-            return pa.table(
-                {
-                    "src": pa.array(a, type=pa.int64()),
-                    "lo": pa.array(b * 2 + 1, type=pa.int64()),
-                    "weight": pa.array(np.ones(len(a), np.float64)),
-                }
-            )
-        return pa.table(
-            {
-                "code2": pa.array((a * n + b) * 2 + 1, type=pa.int64()),
-                "weight": pa.array(np.ones(len(a), np.float64)),
-            }
-        )
+            return _key_table(_NO_ROWS, _NO_ROWS, 1, _NO_ROWS, n, struct)
+        a = batch["a"].to_numpy(zero_copy_only=False)
+        return _key_table(a, batch["b"].to_numpy(zero_copy_only=False), 1, np.ones(len(a)), n, struct)
 
     fact_rows = pairs.map_batches(fact, batch_format="pyarrow")
     return passage_rows.union(fact_rows)
@@ -597,14 +561,11 @@ class GraphTables:
         return rd.read_parquet(self.adj_path)
 
 
-
 def _write_table_dir(ds: "rd.Dataset", path: str, which: str) -> None:
     """write_parquet that guarantees the directory exists even for a
     0-row Dataset (Ray creates nothing then): a graph with vertices but
     zero edges must still leave edges/ and adj/ on disk, or every
     subsequent load crashes with FileNotFoundError."""
-    from .. import schema as _schema
-
     ds.write_parquet(path)
     has_part = os.path.isdir(path) and any(
         f.endswith(".parquet") for f in os.listdir(path)
@@ -615,6 +576,135 @@ def _write_table_dir(ds: "rd.Dataset", path: str, which: str) -> None:
         pq.write_table(sch.empty_table(), os.path.join(path, "part-0.parquet"))
 
 
+def graph_config(out_dir: str, min_token_len: int = 3, edge_source: str = "cooccur") -> tuple[int, str]:
+    """``(min_token_len, edge_source)`` of the graph under ``out_dir``
+    by its manifest; the arguments fill in for a manifest without the
+    key.  Every writer onto an existing graph follows them whatever its
+    caller's config: a mismatched min_token_len would generate entity
+    keys absent from the stored vertex table, or silently skip
+    short-token partials from a subtraction.
+
+    Raises ``ValueError`` for a graph with synonymy edges: the edge
+    merge codes every non-fact record as a passage edge, so it would
+    rewrite the ``syn`` records as passage edges and keep orphaned
+    entities alive.  Such a graph is rebuilt, never merged into."""
+    with open(os.path.join(out_dir, "manifest.json")) as f:
+        m = json.load(f)
+    if m.get("n_syn_edges"):
+        raise ValueError(
+            f"the graph in {out_dir!r} has synonymy edges (n_syn_edges="
+            f"{m['n_syn_edges']}): an incremental write or delete would rewrite "
+            "them as passage edges; rebuild it instead"
+        )
+    return m.get("min_token_len", min_token_len), m.get("edge_source", edge_source)
+
+
+def _copy_through(graph: "GraphTables", out_dir: str) -> "GraphTables":
+    """A write that changes nothing: ``out_dir`` holds the graph as it
+    is (the same directory contract as a real write)."""
+    if os.path.abspath(out_dir) != os.path.abspath(graph.out_dir):
+        for sub in ("vertices", "edges", "adj", "manifest.json"):
+            src = os.path.join(graph.out_dir, sub)
+            dst = os.path.join(out_dir, sub)
+            # idempotent retry: a previous (crashed or finished) run's
+            # tables in out_dir must be replaced, not crash copytree
+            # with FileExistsError
+            if os.path.isdir(dst):
+                shutil.rmtree(dst)
+            elif os.path.exists(dst):
+                os.unlink(dst)
+            (shutil.copytree if os.path.isdir(src) else shutil.copy)(src, dst)
+    return load_graph(out_dir)
+
+
+def _edge_partials(
+    chunks: "rd.Dataset",
+    vertices,
+    n: int,
+    min_token_len: int,
+    edge_source: str,
+    struct: bool,
+    broadcast_vertex_limit: int,
+) -> "rd.Dataset":
+    """Edge partial rows of ``chunks`` in the aggregation key layout.
+    ``vertices`` maps their keys to vids: a (node_key, vid) table on
+    the driver or a materialized Dataset with those columns.  It is
+    broadcast once (``ray.put``) while it has at most
+    ``broadcast_vertex_limit`` rows; beyond that the bucketed hash-join
+    path (:func:`_partials_via_join`) gives the same rows with no
+    driver-side or per-worker dictionary."""
+    local = isinstance(vertices, pa.Table)
+    if (vertices.num_rows if local else vertices.count()) > broadcast_vertex_limit:
+        return _partials_via_join(
+            chunks, rd.from_arrow(vertices) if local else vertices,
+            n, min_token_len, edge_source, struct,
+        )
+    keyed = vertices if local else vertices.select_columns(["node_key", "vid"])
+    vmap_ref = ray.put(keyed.to_pandas().set_index("node_key")["vid"])
+    # per-batch pre-aggregated int codes for the custom int-key sum
+    # shuffle (Dataset.groupby measured 25x slower here, see
+    # stages/shuffle.py).  Explicit batch_size: the deduped-chunk
+    # exchange can emit few large blocks (its partition heuristic
+    # optimizes the shuffle, not this consumer) — without splitting,
+    # the hottest stage of the build runs at the block count's
+    # parallelism.  Task-based (callable instance), NOT an actor pool:
+    # the batch function is ~30us/row, so a pool's actor-launch latency
+    # dominates (measured 16.5s pooled vs ~4s as tasks on warm workers
+    # at 32 CPUs); tasks re-fetch the broadcast vmap from plasma per
+    # task, which is vertex-table-sized and cheap
+    return chunks.map_batches(
+        ChunkToIntEdgePartials(vmap_ref, n, min_token_len, edge_source, struct),
+        batch_format="pyarrow",
+        batch_size=2048,
+    )
+
+
+def _merge_edges(
+    partials: "rd.Dataset", n: int, struct: bool, base: "GraphTables | None" = None
+) -> "rd.Dataset":
+    """The edge merge of every writer: ``partials`` plus the stored
+    edge records of ``base`` (re-encoded with ``n`` vertices) summed
+    per key through the int-key exchange, keys whose weights cancel to
+    zero dropped (a delete's negated partials — counts are
+    integer-valued floats, so a cancelled record sums to 0.0 exactly;
+    without negative partials nothing is dropped), decoded and
+    materialized."""
+    if base is not None:
+        partials = partials.union(
+            base.edges().map_batches(
+                lambda b: _encode_edges_table(b, n, struct), batch_format="pyarrow"
+            )
+        )
+    return (
+        _sum_edge_partials(partials, struct)
+        .map_batches(
+            lambda b: _decode_edges_table(
+                b.filter(pc.not_equal(b["weight"], 0.0)), n, struct
+            ),
+            batch_format="pyarrow",
+        )
+        .materialize()
+    )
+
+
+def _write_manifest(
+    out_dir: str, n_vertices: int, n_edges: int, min_token_len: int, edge_source: str
+) -> "GraphTables":
+    """The commit point of a write: the manifest names the vertex and
+    edge counts and how the edges were made (see :func:`graph_config`)."""
+    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
+        json.dump(
+            {
+                "n_vertices": int(n_vertices),
+                "n_edges": int(n_edges),
+                "min_token_len": min_token_len,
+                "edge_source": edge_source,
+            },
+            f,
+        )
+    return GraphTables(out_dir=out_dir, n_vertices=int(n_vertices), n_edges=int(n_edges))
+
+
 def _write_edges_adj_manifest(
     edges: "rd.Dataset",
     out_dir: str,
@@ -623,14 +713,15 @@ def _write_edges_adj_manifest(
     min_token_len: int,
     edge_source: str,
 ) -> "GraphTables":
-    """Shared build tail (build_graph / delete / incremental): write
-    edges/, expand each undirected record into both directions, range-
-    sort by src for the CSR shards' row-group pruning
-    (SimpleGraph.kt:141-147 undirected walk), write adj/, dump the
-    manifest.  ONE definition — three hand-synced copies of this block
-    drifted apart once already."""
+    """Shared write tail: replace edges/, expand each undirected record
+    into both directions, range-sort by src for the CSR shards'
+    row-group pruning (SimpleGraph.kt:141-147 undirected walk), write
+    adj/, dump the manifest.  ``edges`` must not read from ``out_dir``
+    (the writers hand in materialized edges)."""
     from .shuffle import range_sort
 
+    for sub in ("edges", "adj"):
+        shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
     _write_table_dir(edges, os.path.join(out_dir, "edges"), "edges")
 
     def expand(batch: pa.Table) -> pa.Table:
@@ -649,19 +740,7 @@ def _write_edges_adj_manifest(
     # first would pin a second full copy of the adjacency in plasma
     adj = range_sort(edges.map_batches(expand, batch_format="pyarrow"), "src")
     _write_table_dir(adj, os.path.join(out_dir, "adj"), "adj")
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(
-            {
-                "n_vertices": int(n_vertices),
-                "n_edges": int(n_edges),
-                "min_token_len": min_token_len,
-                "edge_source": edge_source,
-            },
-            f,
-        )
-    return GraphTables(
-        out_dir=out_dir, n_vertices=int(n_vertices), n_edges=int(n_edges)
-    )
+    return _write_manifest(out_dir, n_vertices, n_edges, min_token_len, edge_source)
 
 
 def dedup_chunks(transcripts: "rd.Dataset") -> "rd.Dataset":
@@ -728,9 +807,7 @@ def _extract_shard(in_file: str, part_dir: str, text_col: str) -> dict:
     with open(os.path.join(tmp, "_meta.json"), "w") as f:
         json.dump(meta, f)
     if os.path.isdir(part_dir):  # a concurrent/previous attempt won
-        import shutil as _shutil
-
-        _shutil.rmtree(tmp)
+        shutil.rmtree(tmp)
     else:
         try:
             os.rename(tmp, part_dir)
@@ -739,9 +816,7 @@ def _extract_shard(in_file: str, part_dir: str, text_col: str) -> dict:
             # the isdir check and the rename — the winner's partition
             # is complete; an uncaught raise here would abort the whole
             # run's ray.get
-            import shutil as _shutil
-
-            _shutil.rmtree(tmp, ignore_errors=True)
+            shutil.rmtree(tmp, ignore_errors=True)
     return meta
 
 
@@ -784,10 +859,8 @@ def extract_chunks_resumable(
         # stem injective — `a/b.parquet` and `a__b.parquet` would
         # otherwise collide on one partition and clobber each other
         # every run
-        from ..functions.hashing import md5_hex as _md5
-
         rel = os.path.relpath(os.path.abspath(in_file), root)
-        tag = _md5([rel]).to_pylist()[0][:8]
+        tag = md5_hex([rel]).to_pylist()[0][:8]
         stem = f"{os.path.splitext(rel)[0].replace(os.sep, '__')}-{tag}"
         part_dir = os.path.join(chunks_dir, f"shard={stem}")
         expected_dirs.add(os.path.basename(part_dir))
@@ -798,21 +871,17 @@ def extract_chunks_resumable(
             if old.get("fingerprint") == _file_fingerprint(in_file):
                 entries.append({**old, "skipped": True})
                 continue
-            import shutil as _shutil
-
-            _shutil.rmtree(part_dir)  # stale partition: input changed
+            shutil.rmtree(part_dir)  # stale partition: input changed
         pending.append((in_file, part_dir))
 
     # prune partitions whose input file no longer exists — a deleted
     # input must not keep contributing chunks to every later build
-    import shutil as _shutil
-
     for d in os.listdir(chunks_dir):
         # '.tmp.' names are a CONCURRENT extraction's in-flight temp dirs
         # (see _extract_shard's atomic publish) — pruning one would make
         # that run's os.rename fail; only prune final-shaped names
         if d.startswith("shard=") and ".tmp." not in d and d not in expected_dirs:
-            _shutil.rmtree(os.path.join(chunks_dir, d), ignore_errors=True)
+            shutil.rmtree(os.path.join(chunks_dir, d), ignore_errors=True)
 
     done = ray.get(
         [_extract_shard.remote(f, d, text_col) for f, d in pending]
@@ -843,17 +912,15 @@ def build_graph(
     # into the same out_dir (the resume-after-failure path) would
     # otherwise leave two full copies of every table behind a manifest
     # claiming the fresh counts
-    import shutil as _shutil
-
     for sub in ("vertices", "edges", "adj"):
-        _shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
+        shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
+
+    from .shuffle import hash_distinct
 
     if pre_chunked:
-        from .shuffle import hash_distinct as _hd
-
         # per-CPU partitions for the same reason as dedup_chunks: the
         # downstream maps' parallelism is this exchange's block count
-        chunks = _hd(
+        chunks = hash_distinct(
             transcripts.select_columns(["chunk_key", "text"]),
             "chunk_key",
             num_partitions=int(ray.cluster_resources().get("CPU", 8)),
@@ -861,8 +928,6 @@ def build_graph(
     else:
         chunks = dedup_chunks(transcripts).materialize()
     if chunks.count() == 0:
-        from .. import schema as _schema
-
         for name, sch in (
             ("vertices", _schema.VERTICES),
             ("edges", _schema.EDGES),
@@ -871,63 +936,23 @@ def build_graph(
             d = os.path.join(out_dir, name)
             os.makedirs(d, exist_ok=True)
             pq.write_table(sch.empty_table(), os.path.join(d, "part-0.parquet"))
-        with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-            json.dump({"n_vertices": 0, "n_edges": 0, "min_token_len": min_token_len}, f)
-        return GraphTables(out_dir=out_dir, n_vertices=0, n_edges=0)
+        return _write_manifest(out_dir, 0, 0, min_token_len, edge_source)
 
     # --- vertex dictionary first (the small distinct set), so the big
     # pair shuffle runs over int64 codes, not md5 key strings ---
-    from .shuffle import hash_distinct, range_sort
-
     vrows = chunks.map_batches(ChunkToVertexRows(min_token_len), batch_format="pyarrow")
     vdistinct = hash_distinct(vrows, "node_key")
     vertices = assign_dense_ids(vdistinct, "node_key", "vid").materialize()
-    n_vertices = vertices.count()
+    n = int(vertices.count())
     _write_table_dir(vertices, os.path.join(out_dir, "vertices"), "vertices")
 
-    # vertex dictionary: broadcast once (ray.put) while it fits; beyond
-    # ``broadcast_vertex_limit`` switch to the bucketed hash-join path
-    # (_partials_via_join) — same key rows, no driver-side or
-    # per-worker dictionary
-    struct = _use_struct_keys(n_vertices, struct_keys)
-    if n_vertices <= broadcast_vertex_limit:
-        vmap = vertices.select_columns(["node_key", "vid"]).to_pandas().set_index(
-            "node_key"
-        )["vid"]
-        vmap_ref = ray.put(vmap)
-
-        # --- edge records: per-batch pre-aggregated int codes -> custom
-        # int-key sum shuffle (Dataset.groupby measured 25x slower here,
-        # see stages/shuffle.py) ---
-        # explicit batch_size: the deduped-chunk exchange can emit few
-        # large blocks (its partition heuristic optimizes the shuffle,
-        # not this consumer) — without splitting, the hottest stage of
-        # the build runs at the block count's parallelism
-        # task-based (callable instance), NOT an actor pool: the batch
-        # function is ~30us/row, so a pool's actor-launch latency
-        # dominates (measured 16.5s pooled vs ~4s as tasks on warm
-        # workers at 32 CPUs); tasks re-fetch the broadcast vmap from
-        # plasma per task, which is vertex-table-sized and cheap
-        partials = chunks.map_batches(
-            ChunkToIntEdgePartials(
-                vmap_ref, int(n_vertices), min_token_len, edge_source, struct
-            ),
-            batch_format="pyarrow",
-            batch_size=2048,
-        )
-    else:
-        partials = _partials_via_join(
-            chunks, vertices, int(n_vertices), min_token_len, edge_source, struct
-        )
-    agg = _sum_edge_partials(partials, struct)
-
-    n = int(n_vertices)
-    edges = agg.map_batches(
-        lambda b: _decode_edges_table(b, n, struct), batch_format="pyarrow"
-    ).materialize()
-    n_edges = edges.count()
+    struct = _use_struct_keys(n, struct_keys)
+    partials = _edge_partials(
+        chunks, vertices, n, min_token_len, edge_source, struct, broadcast_vertex_limit
+    )
+    edges = _merge_edges(partials, n, struct)
     return _write_edges_adj_manifest(
-        edges, out_dir, int(n_vertices), n_edges, min_token_len, edge_source
+        edges, out_dir, n, edges.count(), min_token_len, edge_source
     )
 
 
@@ -959,6 +984,36 @@ def load_graph(out_dir: str) -> GraphTables:
     return GraphTables(out_dir=out_dir, n_vertices=m["n_vertices"], n_edges=m["n_edges"])
 
 
+@ray.remote
+def _passage_scan(cand: np.ndarray, watch: np.ndarray, *blocks) -> tuple:
+    """Over merged edge blocks: the candidate vids ``cand`` that are
+    still the dst of a passage edge, and the ``watch`` vids that are
+    still an endpoint of any edge (both sorted, unique)."""
+    alive, touched = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for b in blocks:
+        if not b.num_rows:
+            continue
+        src = b["src"].to_numpy(zero_copy_only=False)
+        dst = b["dst"].to_numpy(zero_copy_only=False)
+        passage = pc.equal(b["etype"], "passage").to_numpy(zero_copy_only=False)
+        alive.append(dst[passage & np.isin(dst, cand)])
+        ends = np.concatenate([src, dst])
+        touched.append(ends[np.isin(ends, watch)])
+    return np.unique(np.concatenate(alive)), np.unique(np.concatenate(touched))
+
+
+def _drop_shift(tbl: pa.Table, dead: np.ndarray, cols: tuple) -> pa.Table:
+    """Rows of ``tbl`` with no dead vid in ``cols``, each vid there
+    moved down by the number of dead vids below it (``dead`` sorted)."""
+    keep = np.ones(tbl.num_rows, bool)
+    for c in cols:
+        v = tbl[c].to_numpy(zero_copy_only=False)
+        pos = np.searchsorted(dead, v)
+        keep &= dead[np.minimum(pos, len(dead) - 1)] != v
+        tbl = tbl.set_column(tbl.column_names.index(c), c, pa.array(v - pos, pa.int64()))
+    return tbl.filter(pa.array(keep))
+
+
 def delete_chunks_from_graph(
     texts: list[str],
     graph: GraphTables,
@@ -967,274 +1022,106 @@ def delete_chunks_from_graph(
     edge_source: str = "cooccur",
     struct_keys: bool | None = None,
 ) -> GraphTables:
-    """Incremental delete: subtract the deleted chunks' edge partials
-    through the same int-key exchange the incremental build uses —
-    the reference's in-place delete semantics (HippoRAG.py:280-361: an
-    entity survives iff some surviving chunk references it) WITHOUT
-    re-extracting the surviving corpus.  Touches edge-table- and
-    vertex-table-sized data only; the deleted texts themselves are the
-    only chunk content read.
+    """Incremental delete with the reference's semantics
+    (HippoRAG.py:280-361: an entity survives iff some surviving chunk
+    references it), without re-extracting the surviving corpus: the
+    deleted texts are the only chunk content read, and the driver holds
+    delete-sized data only.
 
-    Surviving vids are compacted (old-vid order preserved), so vid
-    numbering differs from a fresh rebuild's global node_key sort when
-    increments happened in between — the *logical* graph (node_key-
-    labeled edges/weights) is identical, verified in tests."""
-    from .shuffle import int_key_sum, range_sort
+    * One key probe of ``vertices/`` (state/parts.py) with the deleted
+      chunks' keys and the entity keys they mention gives the present
+      chunks and the vids of every key they mention.  Texts not in the
+      graph are ignored; a delete of none copies the graph through.
+    * Their negated edge partials go through the writers' edge merge.
+    * One task scan of the merged edge blocks finds which mentioned
+      entities are still the dst of a passage edge.  ``dead`` is the
+      present chunks plus the mentioned entities that are not.
+    * Vertices and edges are each rewritten by one map: drop dead vids,
+      then ``vid - searchsorted(dead, vid)``.
+
+    Only a vertex a deleted chunk mentions can die, and survivors keep
+    their order, so the result is vid-identical to renumbering the
+    survivors densely.  No edge is left on a dead vid (a deleted chunk's
+    edges all cancel, and an entity with no passage edge left has no
+    fact edge left); one that is raises ``ValueError`` before anything
+    is written.  ``min_token_len`` and ``edge_source`` follow the
+    manifest (:func:`graph_config`)."""
+    from ..state.parts import in_keys, probe_keys
 
     os.makedirs(out_dir, exist_ok=True)
-    # the graph's manifest records how its edges were produced — the
-    # incremental math must match it regardless of the caller's config
-    # (a mismatched min_token_len would generate entity keys absent
-    # from the stored vertex table, or silently skip short-token
-    # partials from the subtraction)
-    with open(os.path.join(graph.out_dir, "manifest.json")) as _f:
-        _m = json.load(_f)
-    edge_source = _m.get("edge_source", edge_source)
-    min_token_len = _m.get("min_token_len", min_token_len)
+    min_token_len, edge_source = graph_config(graph.out_dir, min_token_len, edge_source)
     n = int(graph.n_vertices)
+    mentions = ChunkToVertexRows(min_token_len)
 
-    del_tbl = pa.table({"text": pa.array(sorted(set(texts)), type=pa.string())})
-    del_chunks = _to_chunk_rows(del_tbl)
-    # only chunks actually in the graph subtract anything.  Probe the
-    # stored vertex table for the delete batch's keys — the driver holds
-    # delete-batch-sized data only, never the vertex table
-    import pyarrow.dataset as pads
+    del_chunks = _to_chunk_rows(pa.table({"text": pa.array(sorted(set(texts)), pa.string())}))
+    hits = probe_keys(
+        graph.vertex_parts,
+        "node_key",
+        np.unique(mentions(del_chunks)["node_key"].to_numpy(zero_copy_only=False)),
+        ("vid",),
+    )
+    del_chunks = del_chunks.filter(in_keys(del_chunks["chunk_key"], hits["node_key"]))
+    if not del_chunks.num_rows:
+        return _copy_through(graph, out_dir)
 
-    probe_keys = sorted(set(del_chunks["chunk_key"].to_pylist()))
-    present_keys = set(
-        pads.dataset(graph.vertex_parts)
-        .to_table(columns=["node_key"], filter=pads.field("node_key").isin(probe_keys))[
-            "node_key"
-        ]
-        .to_pylist()
-    )
-    present = np.array(
-        [k in present_keys for k in del_chunks["chunk_key"].to_pylist()], dtype=bool
-    )
-    del_chunks = del_chunks.filter(pa.array(present))
-    del_keys = set(del_chunks["chunk_key"].to_pylist())
-    if not del_keys:
-        if os.path.abspath(out_dir) != os.path.abspath(graph.out_dir):
-            import shutil as _sh
+    vid_of = hits.to_pandas().set_index("node_key")["vid"]
+    rows = mentions(del_chunks)
+    is_chunk = pc.equal(rows["kind"], "chunk").to_numpy(zero_copy_only=False)
+    keys = rows["node_key"].to_numpy(zero_copy_only=False)
+    del_vids = np.sort(vid_of.loc[keys[is_chunk]].to_numpy(np.int64))
+    cand = np.sort(vid_of.loc[keys[~is_chunk]].to_numpy(np.int64))
 
-            for sub in ("vertices", "edges", "adj", "manifest.json"):
-                src = os.path.join(graph.out_dir, sub)
-                dst = os.path.join(out_dir, sub)
-                # idempotent retry: a previous (crashed or finished)
-                # run's tables in out_dir must be replaced, not crash
-                # copytree with FileExistsError
-                if os.path.isdir(dst):
-                    _sh.rmtree(dst)
-                elif os.path.exists(dst):
-                    os.unlink(dst)
-                (_sh.copytree if os.path.isdir(src) else _sh.copy)(src, dst)
-        return load_graph(out_dir)
-
-    # negative partials: the key->vid dictionary is restricted to the
-    # keys the deleted texts can mention (delete-vocab-sized) via a
-    # filtered read — the full-vertex broadcast this replaces was
-    # vertex-table-sized driver state
-    needed = np.unique(
-        ChunkToVertexRows(min_token_len)(del_chunks)["node_key"].to_numpy(
-            zero_copy_only=False
-        )
-    )
-    vsub = pads.dataset(graph.vertex_parts).to_table(
-        columns=["node_key", "vid"],
-        filter=pads.field("node_key").isin(needed.tolist()),
-    )
-    key_to_vid = vsub.to_pandas().set_index("node_key")["vid"]
-    vmap_ref = ray.put(key_to_vid)
     struct = _use_struct_keys(n, struct_keys)
-    neg = ChunkToIntEdgePartials(vmap_ref, n, min_token_len, edge_source, struct)(
+    neg = ChunkToIntEdgePartials(ray.put(vid_of), n, min_token_len, edge_source, struct)(
         del_chunks
     )
     neg = neg.set_column(
-        neg.column_names.index("weight"),
-        "weight",
-        pa.array(-neg["weight"].to_numpy(zero_copy_only=False)),
+        neg.column_names.index("weight"), "weight", pc.negate(neg["weight"])
     )
-
-    merged = (
-        graph.edges()
-        .map_batches(
-            lambda b: _encode_edges_table(b, n, struct), batch_format="pyarrow"
-        )
-        .union(rd.from_arrow(neg))
-    )
-    agg = _sum_edge_partials(merged, struct)
-    # counts are integer-valued floats: cancelled records sum to 0.0 exactly
-    agg = agg.map_batches(
-        lambda b: b.filter(
-            pa.array(b["weight"].to_numpy(zero_copy_only=False) != 0.0)
-        ),
-        batch_format="pyarrow",
-    )
-
-    edges = agg.map_batches(
-        lambda b: _decode_edges_table(b, n, struct), batch_format="pyarrow"
-    ).materialize()
-
-    # survivors: chunks not deleted; entities still referenced by some
-    # surviving chunk (⟺ they kept a passage edge — HippoRAG.py:302-345);
-    # distinct passage dst via the int-key exchange (vertex-sized result)
-    import pyarrow.compute as pc
-
-    pdst_rows = edges.map_batches(
-        lambda b: pa.table(
-            {
-                "vid": b.filter(pc.equal(b["etype"], "passage"))["dst"],
-                "one": pa.array(
-                    np.ones(int(pc.sum(pc.equal(b["etype"], "passage")).as_py() or 0)),
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    passage_dst = int_key_sum(pdst_rows, "vid", "one").map_batches(
-        lambda b: b.select(["vid"]), batch_format="pyarrow"
-    )
-
-    # survivors, fully distributed: chunks not deleted (small del-key
-    # broadcast), entities with a surviving passage edge (semi join on
-    # the distinct passage dst set) — the vertex table never lands on
-    # the driver
-    from .shuffle import hash_join as _hash_join
-
-    del_ref = ray.put(np.array(sorted(del_keys), dtype=object))
-
-    def chunk_keep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        from ..state.parts import in_keys
-
-        is_c = _pc.equal(batch["kind"], "chunk")
-        keep = is_c.to_numpy(zero_copy_only=False) & ~in_keys(
-            batch["node_key"], ray.get(del_ref)
-        )
-        return batch.filter(pa.array(keep))
-
-    def entity_only(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        return batch.filter(_pc.invert(_pc.equal(batch["kind"], "chunk")))
-
-    vcols = ["node_key", "kind", "content", "vid"]
-    chunk_surv = graph.vertices().map_batches(chunk_keep, batch_format="pyarrow")
-    ent_surv = _hash_join(
-        graph.vertices().map_batches(entity_only, batch_format="pyarrow"),
-        passage_dst,
-        "vid",
-    )
-
-    def norm_cols(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or any(c not in batch.column_names for c in vcols):
-            return pa.table(
-                {
-                    "node_key": pa.array([], pa.string()),
-                    "kind": pa.array([], pa.string()),
-                    "content": pa.array([], pa.string()),
-                    "vid": pa.array([], pa.int64()),
-                }
-            )
-        return batch.select(vcols)
-
-    survivors = (
-        chunk_surv.map_batches(norm_cols, batch_format="pyarrow")
-        .union(ent_surv.map_batches(norm_cols, batch_format="pyarrow"))
-        .materialize()
-    )
-    # compact vids preserving old order: dense rank of the old vid
-    # (range sort + per-block offsets — no driver-side remap array)
-    surv_ids = assign_dense_ids(survivors, "vid", "new_vid").materialize()
-    n_vertices = surv_ids.count()
-
-    # edge remap as two bucketed joins on the (old vid -> new vid)
-    # table; inner joins drop edges with a dead endpoint
-    remap_ds = surv_ids.map_batches(
-        lambda b: pa.table({"old": b["vid"], "new": b["new_vid"]}),
-        batch_format="pyarrow",
-    ).materialize()
-
-    def key_src(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "old": batch["src"],
-                "dst": batch["dst"],
-                "weight": batch["weight"],
-                "etype": batch["etype"],
-            }
-        )
-
-    def took_src(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "new" not in batch.column_names:
-            return pa.table(
-                {
-                    "src": pa.array([], pa.int64()),
-                    "old": pa.array([], pa.int64()),
-                    "weight": pa.array([], pa.float64()),
-                    "etype": pa.array([], pa.string()),
-                }
-            )
-        return pa.table(
-            {
-                "src": batch["new"],
-                "old": batch["dst"],
-                "weight": batch["weight"],
-                "etype": batch["etype"],
-            }
-        )
-
-    def took_dst(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "new" not in batch.column_names:
-            return pa.table(
-                {
-                    "src": pa.array([], pa.int64()),
-                    "dst": pa.array([], pa.int64()),
-                    "weight": pa.array([], pa.float64()),
-                    "etype": pa.array([], pa.string()),
-                }
-            )
-        return pa.table(
-            {
-                "src": batch["src"],
-                "dst": batch["new"],
-                "weight": batch["weight"],
-                "etype": batch["etype"],
-            }
-        )
-
-    e1 = _hash_join(
-        edges.map_batches(key_src, batch_format="pyarrow"), remap_ds, "old"
-    ).map_batches(took_src, batch_format="pyarrow")
-    edges = (
-        _hash_join(e1, remap_ds, "old")
-        .map_batches(took_dst, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = _merge_edges(rd.from_arrow(neg), n, struct, base=graph)
     n_edges = edges.count()
 
-    import shutil as _sh
+    refs = edges.to_arrow_refs()
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    cand_ref, watch_ref = ray.put(cand), ray.put(np.union1d(cand, del_vids))
+    scans = ray.get(
+        [
+            _passage_scan.remote(cand_ref, watch_ref, *[refs[i] for i in g])
+            for g in np.array_split(np.arange(len(refs)), max(1, min(len(refs), cpus)))
+        ]
+    )
+    alive = np.concatenate([a for a, _ in scans])
+    dead = np.union1d(del_vids, np.setdiff1d(cand, alive))
+    left = np.intersect1d(np.concatenate([t for _, t in scans]), dead)
+    if len(left):
+        raise ValueError(
+            f"delete left edges on {len(left)} dead vertices (vids {left[:5].tolist()}): "
+            "the stored edges and the deleted chunks' partials disagree"
+        )
 
-    for sub in ("vertices", "edges", "adj"):
-        _sh.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
+    # vertices: written beside the table, then swapped in, so an
+    # in-place delete never reads a part it already replaced
+    vdir = os.path.join(out_dir, "vertices")
+    tmp = vdir + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
     _write_table_dir(
-        surv_ids.map_batches(
-            lambda b: pa.table(
-                {
-                    "node_key": b["node_key"],
-                    "kind": b["kind"],
-                    "content": b["content"],
-                    "vid": b["new_vid"],
-                }
-            ),
-            batch_format="pyarrow",
+        rd.read_parquet(graph.vertex_parts).map_batches(
+            lambda b: _drop_shift(b, dead, ("vid",)), batch_format="pyarrow"
         ),
-        os.path.join(out_dir, "vertices"),
+        tmp,
         "vertices",
     )
+    shutil.rmtree(vdir, ignore_errors=True)
+    os.rename(tmp, vdir)
     return _write_edges_adj_manifest(
-        edges, out_dir, int(n_vertices), n_edges, min_token_len, edge_source
+        edges.map_batches(
+            lambda b: _drop_shift(b, dead, ("src", "dst")), batch_format="pyarrow"
+        ),
+        out_dir,
+        n - len(dead),
+        n_edges,
+        min_token_len,
+        edge_source,
     )
 
 
@@ -1355,23 +1242,19 @@ def merge_delta(
     manifest's are re-derived from their chunk rows first (one task
     per block) — probed as they are, they would miss stored entities
     (a larger value) or add short-token entities the graph never held
-    (a smaller one).
+    (a smaller one).  A graph with synonymy edges is refused
+    (:func:`graph_config`).
 
     The manifest stays the commit point: readers see only committed
     parts (``GraphTables.vertex_parts``), and a retry into the same
     ``out_dir`` first drops the uncommitted delta part, so it never
     duplicates vertex rows."""
-    import shutil as _sh
-
-    from .. import schema as _schema
     from ..state.parts import block_columns, first_rows, probe_keys, take_rows
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(graph.out_dir, "manifest.json")) as _f:
-        _m = json.load(_f)
-    edge_source = _m.get("edge_source", edge_source)
-    if _m.get("min_token_len", min_token_len) != min_token_len:
-        min_token_len = _m["min_token_len"]
+    graph_len, edge_source = graph_config(graph.out_dir, min_token_len, edge_source)
+    if graph_len != min_token_len:
+        min_token_len = graph_len
         refs = [_rederive_candidates.remote(r, min_token_len) for r in refs]
         keys = block_columns(refs, ["node_key", "kind"])
     n_old = int(graph.n_vertices)
@@ -1399,20 +1282,7 @@ def merge_delta(
     )
     vnew = pa.concat_tables(vnew) if vnew else _schema.VERTICES.empty_table().drop(["vid"])
     if not pc.any(pc.equal(vnew["kind"], "chunk")).as_py():
-        # nothing new: copy-through (same directory contract)
-        if not in_place:
-            for sub in ("vertices", "edges", "adj", "manifest.json"):
-                src = os.path.join(graph.out_dir, sub)
-                dst = os.path.join(out_dir, sub)
-                # idempotent retry: a previous (crashed or finished)
-                # run's tables in out_dir must be replaced, not crash
-                # copytree with FileExistsError
-                if os.path.isdir(dst):
-                    _sh.rmtree(dst)
-                elif os.path.exists(dst):
-                    os.unlink(dst)
-                (_sh.copytree if os.path.isdir(src) else _sh.copy)(src, dst)
-        return load_graph(out_dir)
+        return _copy_through(graph, out_dir)
 
     # --- new vertices: vids n_old + rank in node_key order, one part ---
     vnew = vnew.sort_by("node_key")
@@ -1424,17 +1294,16 @@ def merge_delta(
     if not in_place:
         # Ray's write_parquet APPENDS: a retry into a pre-existing
         # out_dir must not keep a previous run's vertex rows
-        _sh.rmtree(vdir, ignore_errors=True)
+        shutil.rmtree(vdir, ignore_errors=True)
         os.makedirs(vdir)
         for p in committed:
             dst = os.path.join(vdir, os.path.relpath(p, graph.vertices_path))
             os.makedirs(os.path.dirname(dst), exist_ok=True)
-            _sh.copy(p, dst)
+            shutil.copy(p, dst)
     pq.write_table(vnew, os.path.join(vdir, f"delta-{n_old:012d}.parquet"))
 
     # --- new chunks' partials from a delta-sized dictionary: the
-    # stored hits plus the new vids.  Broadcast while it fits, bucketed
-    # hash-join path beyond the limit (same fallback as build_graph) ---
+    # stored hits plus the new vids ---
     vmap = pa.table(
         {
             "node_key": pa.concat_arrays(
@@ -1451,31 +1320,10 @@ def merge_delta(
         take_rows(refs, chunk_idx, {"chunk_key": "node_key", "text": "content"}, 2048)
     )
     struct = _use_struct_keys(n, struct_keys)
-    if vmap.num_rows <= broadcast_vertex_limit:
-        vmap_ref = ray.put(vmap.to_pandas().set_index("node_key")["vid"])
-        partials_new = chunks_new.map_batches(
-            ChunkToIntEdgePartials(vmap_ref, n, min_token_len, edge_source, struct),
-            batch_format="pyarrow",
-            batch_size=2048,
-        )
-    else:
-        partials_new = _partials_via_join(
-            chunks_new, rd.from_arrow(vmap), n, min_token_len, edge_source, struct
-        )
-
-    merged = partials_new.union(
-        graph.edges().map_batches(
-            lambda b: _encode_edges_table(b, n, struct), batch_format="pyarrow"
-        )
+    partials = _edge_partials(
+        chunks_new, vmap, n, min_token_len, edge_source, struct, broadcast_vertex_limit
     )
-    agg = _sum_edge_partials(merged, struct)
-
-    edges = agg.map_batches(
-        lambda b: _decode_edges_table(b, n, struct), batch_format="pyarrow"
-    ).materialize()
-    n_edges = edges.count()
-    for sub in ("edges", "adj"):
-        _sh.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
+    edges = _merge_edges(partials, n, struct, base=graph)
     return _write_edges_adj_manifest(
-        edges, out_dir, n, n_edges, min_token_len, edge_source
+        edges, out_dir, n, edges.count(), min_token_len, edge_source
     )

@@ -7,10 +7,13 @@ sequence through the public API and compare two runs.
 
 Run mode indexes a synthetic base corpus into a ``HippoRagEngine``
 (facts on), then three incremental writes — new turns, a re-append of
-turns indexed before, new turns again — and an empty write.  After
-every step it records, each sorted by its key: ``vertices/``,
-``edges/``, ``adj/``, the manifest counts, the chunk, entity and fact
-embedding stores (hash_id, content, embedding) and the fact table.
+turns indexed before, new turns again — and an empty write, then two
+incremental deletes: indexed turns plus one never-indexed text, and
+turns that each hold a word no other indexed turn holds (so the delete
+orphans those entities).  After every step it records, each sorted by
+its key: ``vertices/``, ``edges/``, ``adj/``, the manifest counts, the
+chunk, entity and fact embedding stores (hash_id, content, embedding)
+and the fact table.
 A step that raises is reported and the run goes on, so both commits
 record the same keys.  Compare mode exits non-zero on any missing key
 or any array that is not identical.  Only public names are used, so
@@ -97,6 +100,16 @@ def _turns(tx_dir: str):
     return pads.dataset(tx_dir).to_table()
 
 
+def _orphaning(texts: list[str], k: int) -> list[str]:
+    """The first ``k`` of the distinct ``texts`` that hold a word no
+    other text holds: deleting them orphans those words' entities."""
+    from collections import Counter
+
+    texts = sorted(set(texts))
+    counts = Counter(w for t in texts for w in set(t.split()))
+    return [t for t in texts if any(counts[w] == 1 for w in t.split())][:k]
+
+
 def run(out_path: str) -> None:
     import pyarrow as pa
     import ray
@@ -125,13 +138,24 @@ def run(out_path: str) -> None:
             ]
             eng = HippoRagEngine(os.path.join(tmp, "wd"))
             try:
-                for i, (name, tbl) in enumerate(steps):
+                indexed = base["text"].to_pylist() + more.slice(0, 200)["text"].to_pylist()
+                gone = (base.slice(0, 40)["text"].to_pylist()
+                        + more.slice(100, 10)["text"].to_pylist()
+                        + ["a turn that was never indexed"])
+                live = sorted(set(indexed) - set(gone))
+                steps += [("delete", gone), ("orphans", _orphaning(live, 12))]
+                for i, (name, arg) in enumerate(steps):
                     try:
-                        st = eng.index(rd.from_arrow(tbl))
-                        print(f"{name}: {st['new_chunks']} new chunks, "
-                              f"{st['n_vertices']} vertices, {st['n_edges']} edges")
+                        if isinstance(arg, list):
+                            st = eng.delete(arg)
+                            print(f"{name}: {len(arg)} texts deleted, "
+                                  f"{st['n_vertices']} vertices, {st['n_edges']} edges")
+                        else:
+                            st = eng.index(rd.from_arrow(arg))
+                            print(f"{name}: {st['new_chunks']} new chunks, "
+                                  f"{st['n_vertices']} vertices, {st['n_edges']} edges")
                     except Exception as e:  # recorded state shows the effect
-                        print(f"{name}: index() raised {type(e).__name__}: {e}")
+                        print(f"{name}: raised {type(e).__name__}: {e}")
                     for k, v in _state(eng).items():
                         arrays[f"{i}{name}_{k}"] = v
             finally:
