@@ -61,6 +61,7 @@ import pyarrow as pa
 
 import ray
 
+from ..stages.shuffle import _checked, _fan, _launch, _np, _parts
 from ..state.csr import ShardedGraph
 
 
@@ -112,11 +113,12 @@ def _reset_triples(resets, n_vertices: int, n_queries: int) -> pa.Table:
 
 
 @ray.remote
-def _route_reset_block(tbl, bounds: np.ndarray, k: int, n_queries: int | None = None):
+def _route_reset_block(block, bounds: np.ndarray, n_queries: int | None, k: int):
     """Split one (vid, query_idx, weight) block into per-shard triples."""
-    vids = tbl["vid"].to_numpy(zero_copy_only=False).astype(np.int64)
-    qidx = tbl["query_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
-    w = tbl["weight"].to_numpy(zero_copy_only=False).astype(np.float64)
+    tbl = _checked(block, "vid", "query_idx", "weight")
+    vids = _np(tbl, "vid", np.int64)
+    qidx = _np(tbl, "query_idx", np.int64)
+    w = _np(tbl, "weight", np.float64)
     bad = (vids < bounds[0]) | (vids >= bounds[-1])
     if bad.any():
         # stale seeds from a different graph build would otherwise be
@@ -139,14 +141,7 @@ def _route_reset_block(tbl, bounds: np.ndarray, k: int, n_queries: int | None = 
             f"(e.g. {qidx[badq][:5].tolist()})"
         )
     shard = np.searchsorted(bounds, vids, side="right") - 1
-    order = np.argsort(shard, kind="stable")
-    vids, qidx, w, shard = vids[order], qidx[order], w[order], shard[order]
-    gb = np.searchsorted(shard, np.arange(k + 1))
-    outs = [
-        (vids[gb[t] : gb[t + 1]], qidx[gb[t] : gb[t + 1]], w[gb[t] : gb[t + 1]])
-        for t in range(k)
-    ]
-    return tuple(outs) if k > 1 else outs[0]
+    return _fan([(vids[i], qidx[i], w[i]) for i in _parts(shard, k)])
 
 
 def route_reset_dataset(
@@ -159,19 +154,8 @@ def route_reset_dataset(
     ``n_queries`` enables the loud query_idx range gate."""
     refs = list(reset_ds) if isinstance(reset_ds, list) else reset_ds.to_arrow_refs()
     P = sg.n_shards
-    per_block = []
-    for r in refs:
-        if P > 1:
-            per_block.append(
-                list(
-                    _route_reset_block.options(num_returns=P).remote(
-                        r, sg.bounds, P, n_queries
-                    )
-                )
-            )
-        else:
-            per_block.append([_route_reset_block.remote(r, sg.bounds, P, n_queries)])
-    return [[per_block[i][t] for i in range(len(refs))] for t in range(P)]
+    per_block = [_launch(_route_reset_block, P, r, sg.bounds, n_queries) for r in refs]
+    return [[b[t] for b in per_block] for t in range(P)]
 
 
 def scores_dataset(sg: ShardedGraph, query_idx: int = 0):

@@ -339,7 +339,6 @@ def _window_pairs_reduce(group_col: str, val_col: str, pos_col: str, *shards) ->
     """Per-group ordered 3-windows -> deduped (subject, object) vid
     pairs, both orientations — the join-path analog of
     ChunkToIntEdgePartials._triple_pairs."""
-    shards = [s[0] if isinstance(s, tuple) and len(s) == 1 else s for s in shards]
     shards = [s for s in shards if s.num_rows]
     if not shards:
         return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
@@ -378,7 +377,7 @@ def _partials_via_join(
     through the bucketed hash join (stages/shuffle.py) — the scale path
     once the dictionary outgrows single-node memory.  Produces the same
     rows as ChunkToIntEdgePartials (verified equal in tests)."""
-    from .shuffle import _pair_partial_sum, _plain_split, grouped_pairs, hash_join
+    from .shuffle import _exchange, _pair_partial_sum, _plain_split, grouped_pairs, hash_join
 
     struct = _use_struct_keys(n_vertices, struct_keys)
     n = int(n_vertices)
@@ -426,26 +425,13 @@ def _partials_via_join(
     if not ordered:
         pairs = grouped_pairs(m2, "chunk_key", "ent_vid", mode="ne")
     else:
-        from .shuffle import _streaming_splits
-
-        def launch(r, k):
-            if k > 1:
-                return _plain_split.options(num_returns=k).remote(r, "chunk_key", k)
-            return [_plain_split.remote(r, "chunk_key", k)]
-
-        splits, k = _streaming_splits(m2, launch, None)
-        if not splits:
-            pairs = rd.from_arrow(
-                pa.table({"chunk_key": pa.array([], pa.string())})
-            )
-        else:
-            outs = [
-                _window_pairs_reduce.remote(
-                    "chunk_key", "ent_vid", "pos", *[splits[i][t] for i in range(len(splits))]
-                )
-                for t in range(k)
-            ]
+        outs = _exchange(
+            m2, _plain_split, ("chunk_key",), _window_pairs_reduce, ("chunk_key", "ent_vid", "pos")
+        )
+        if outs:
             pairs = rd.from_arrow_refs(outs)
+        else:
+            pairs = rd.from_arrow(pa.table({"chunk_key": pa.array([], pa.string())}))
 
     def fact(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or "a" not in batch.column_names:
@@ -492,11 +478,6 @@ class ChunkToVertexRows:
 
 
 @ray.remote
-def _block_len(tbl: pa.Table) -> int:
-    return tbl.num_rows
-
-
-@ray.remote
 def _with_ids(tbl: pa.Table, offset: int, col: str) -> pa.Table:
     ids = np.arange(offset, offset + tbl.num_rows, dtype=np.int64)
     return tbl.append_column(col, pa.array(ids, type=pa.int64()))
@@ -509,11 +490,11 @@ def assign_dense_ids(ds: "rd.Dataset", key: str, id_col: str = "vid") -> "rd.Dat
     per-block with a small metadata pass for offsets (no driver
     materialization of rows).
     """
-    from .shuffle import range_sort
+    from .shuffle import _row_counts, range_sort
 
     sorted_ds = range_sort(ds, key).materialize()
     refs = sorted_ds.to_arrow_refs()
-    counts = ray.get([_block_len.remote(r) for r in refs])
+    counts = _row_counts(refs)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
     out_refs = [
         _with_ids.remote(r, int(off), id_col) for r, off in zip(refs, offsets)

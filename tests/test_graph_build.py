@@ -337,3 +337,34 @@ def test_struct_key_path_bit_equal_to_packed(small_transcripts, tmp_path, ray_se
             for w, g in zip(want, got):
                 for k in w:
                     pd.testing.assert_frame_equal(w[k], g[k])
+
+
+def test_triples_window_exchange_matches_across_partition_counts(ray_session, tmp_path, monkeypatch):
+    """The join path's triples window exchange gives the same graph at
+    k = 4 partitions (a tiny _PARTITION_FLOOR_ROWS) as at k = 1."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from hipporag_ray.stages import shuffle
+
+    rng = np.random.default_rng(5)
+    words = [f"word{i}" for i in range(40)]
+    texts = [" ".join(rng.choice(words, 8)) for _ in range(60)]
+    tx = rd.from_arrow(pa.table({"text": texts})).repartition(4)
+
+    def graph(name):
+        g = build_graph(
+            tx, str(tmp_path / name), edge_source="triples", broadcast_vertex_limit=0
+        )
+        cols = ["src", "dst", "etype"]
+        return (
+            g.vertices().to_pandas().sort_values("node_key").reset_index(drop=True),
+            g.edges().to_pandas().sort_values(cols).reset_index(drop=True),
+        )
+
+    v1, e1 = graph("k1")
+    monkeypatch.setattr(shuffle, "_PARTITION_FLOOR_ROWS", 4)
+    v4, e4 = graph("k4")
+    pd.testing.assert_frame_equal(v1, v4)
+    pd.testing.assert_frame_equal(e1, e4)
+    assert (e1["etype"] == "fact").any()

@@ -644,3 +644,68 @@ def test_int_key_sum_empty_input_typed_schema(ray_session):
     sch2 = out2.schema(fetch_if_missing=True)
     assert sch2 is not None and sch2.names == ["src", "dst", "w"]
     assert out2.count() == 0
+
+
+def _missing_key_runs():
+    from hipporag_ray.stages import shuffle as sh
+
+    return {
+        "int_key_sum": lambda ds: sh.int_key_sum(ds, "kk", "w"),
+        "int_pair_key_sum": lambda ds: sh.int_pair_key_sum(ds, "kk", "v", "w"),
+        "multi_key_sum": lambda ds: sh.multi_key_sum(ds, ["kk"], "w"),
+        "hash_distinct": lambda ds: sh.hash_distinct(ds, "kk", num_partitions=3),
+        "hash_partition": lambda ds: sh.hash_partition(ds, "kk", num_partitions=3),
+        "range_sort": lambda ds: sh.range_sort(ds, "kk", num_partitions=3),
+        "grouped_pairs": lambda ds: sh.grouped_pairs(ds, "kk", "v"),
+        "hash_join": lambda ds: sh.hash_join(ds, ds, "kk", num_partitions=3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_missing_key_runs()))
+def test_exchange_missing_key_column_raises(ray_session, name):
+    """A key column missing from a block with rows is a caller bug:
+    every exchange must raise a KeyError naming it — not return zero
+    rows, copy the block into every partition, or pass it unsorted."""
+    ds = rd.from_arrow(
+        pa.table({"k": np.arange(10), "v": np.arange(10) % 3, "w": np.ones(10)})
+    )
+    with pytest.raises(KeyError, match=r"missing column\(s\) \['kk'\]"):
+        _missing_key_runs()[name](ds).materialize()
+
+
+def test_exchanges_match_across_partition_counts(ray_session, monkeypatch):
+    """The exchanges no other test drives past one partition give the
+    same rows at k = 4 (a tiny _PARTITION_FLOOR_ROWS) as at k = 1."""
+    from hipporag_ray.stages import shuffle as sh
+
+    rng = np.random.default_rng(3)
+    n = 400
+    tbl = pa.table(
+        {
+            "a": rng.integers(0, 20, n),
+            "b": rng.integers(0, 5, n),
+            "s": pa.array([f"s{i}" for i in rng.integers(0, 30, n)]),
+            "w": rng.integers(0, 100, n).astype(np.float64),
+        }
+    )
+    ds = rd.from_arrow(tbl).repartition(5).materialize()
+    runs = {
+        "int_pair_key_sum": lambda: sh.int_pair_key_sum(ds, "a", "b", "w"),
+        "multi_key_sum": lambda: sh.multi_key_sum(ds, ["s", "b"], "w", out_col="x"),
+        "multi_key_count": lambda: sh.multi_key_sum(ds, ["s"], out_col="x"),
+        "multi_key_min": lambda: sh.multi_key_min(ds, ["s"], "w", "x"),
+        "multi_key_max": lambda: sh.multi_key_max(ds, ["a", "s"], "w", "x"),
+        "grouped_pairs": lambda: sh.grouped_pairs(ds, "b", "a", include_group=True),
+    }
+
+    def rows(out):
+        df = out.to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    want = {name: rows(run()) for name, run in runs.items()}
+    monkeypatch.setattr(sh, "_PARTITION_FLOOR_ROWS", 4)
+    for name, run in runs.items():
+        out = run().materialize()
+        assert out.num_blocks() > 1, name
+        got = rows(out)
+        assert len(got) and got.equals(want[name]), name
