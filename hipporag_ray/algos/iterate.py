@@ -31,8 +31,8 @@ or changed count, active queries, edges scanned, wall seconds) land in
 Every algorithm runs the ONE pipelined superstep loop (``_superstep``)
 over ``GraphShard.step``; it submits wave it+1 before reading wave it's
 result.  A wave's messages reach the steps directly when the pool has
-one message chunk, and through the pool's k assembler actors when it
-has k > 1.  A PPR call has no driver barrier before its first wave:
+one message chunk (each step reads the P shard messages where they
+lie), and through the pool's k assembler actors when it has k > 1.  A PPR call has no driver barrier before its first wave:
 ``ppr_init``'s column sums go to the prologue ``message`` wave as refs,
 each shard normalizes its own reset from them, and the first
 ``ray.get`` is the first wave's.  A bad reset (vids or query_idx out of
@@ -409,15 +409,16 @@ def _superstep(
 class _PPR:
     """Batched PPR as a superstep program.  Pull model: one (contrib,
     dangling, hub) message per shard; every owner segment-reduces its
-    incoming edges against the merged message.  With one message chunk
-    (pools of at most 7 shards by default) each step gets the P message
-    refs and merges them itself — no assembler hop in the wave.  With
+    incoming edges against the message chunks, read where they lie.
+    With one message chunk (pools of at most 7 shards by default) each
+    step gets the P message refs as its chunks — no assembler hop in the
+    wave — and narrows them itself after the active set shrank.  With
     k > 1 the k PARALLEL chunk assemblers merge them into the
     iteration's k chunk objects: passing k chunk refs (auto-dereffed at
     the actor) keeps the per-iteration ref fan-out at k x P — the full
     P x P inlining and the borrower-protocol storm of a ray.put'd ref
-    list each measured slower than the edge scan itself at P=63.  The
-    active-column subset happens IN the merge (``pos``), so no shard
+    list each measured slower than the edge scan itself at P=63.  There
+    the active-column subset happens IN the merge (``pos``), so no shard
     re-subsets O(n x B) itself.  ``prologue`` (the P shards' ``ppr_init``
     sum refs) rides the prologue message, which normalizes the reset."""
 
@@ -443,7 +444,7 @@ class _PPR:
 
     def assemble(self, msg_refs) -> list:
         if not self.sg.assemblers:
-            return msg_refs  # GraphShard.step merges them at its active width
+            return msg_refs  # each GraphShard.step reads them as its chunks
         pos = (
             None
             if len(self.active) == len(self.msg_active)
@@ -503,8 +504,8 @@ def personalized_pagerank(
     shards without driver materialization (the streaming reset path).
     ``checkpoint_every``/``resume`` need ``checkpoint_dir``.
     ``collect=False`` skips assembling the dense score matrix on the
-    driver — consume results via the actors' ``topk_chunk_scores`` /
-    ``scores_table`` instead."""
+    driver — consume results via the actors' ``topk_chunk_scores_batch``
+    / ``scores_table`` instead."""
     if resets is not None and reset_dataset is not None:
         # conflicting seed specifications: silently preferring one would
         # answer a different query than the caller described
@@ -583,7 +584,8 @@ class _Labels:
         if not self.sg.assemblers:
             return msg_refs  # GraphShard.step merges them
         # label messages are (n,) ints — no win from chunk parallelism,
-        # but the persistent assembler actor avoids task-worker churn
+        # but the persistent assembler actor avoids task-worker churn;
+        # the step merges the one assembled message the same way
         return [self.sg.assemblers[0].assemble_labels.remote(*msg_refs)]
 
     def consume(self, params, changed, wall: float, draining: bool):
@@ -641,7 +643,7 @@ def coreness(
     values; the sequence is monotonically non-increasing and converges
     to the coreness, here in the same fused message/pull waves as CC/LP
     (hub neighbor multisets travel as run-length COO partials, merged
-    by the hub's owner).  The initial degree is per-shard chunk-row
+    by the hub's owner).  The initial degree is per-shard edge-row
     degree plus, for a hub, the cross-shard sum of its push-row counts
     (a hub's rows live on its neighbors' owners): the P shards'
     ``core_degree_partial`` refs ride the prologue message, where each

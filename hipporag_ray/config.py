@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, fields
 class EngineConfig:
     # --- graph construction ---
     min_token_len: int = 3  # synonymy eligibility >2 alnum chars, HippoRAG.py:864
-    is_directed_graph: bool = False  # config_utils.py:164-167
     # fact-edge source: "cooccur" (distinct-token pairs) or "triples"
     # (per-triple accumulation, HippoRAG.py:756-775; stages/triples.py)
     edge_source: str = "cooccur"
@@ -49,13 +48,6 @@ class EngineConfig:
 
     # --- embeddings (T1 analog; reference batch 16/64, config_utils.py:128-131) ---
     embedding_dim: int = 64
-    embedding_seed: int = 17
-
-    # --- sharding / iteration ---
-    n_shards: int | None = None  # default: 2 x CPUs (state/csr.py)
-    hub_min_degree: int | None = None  # default: max(4096, 2E/P)
-    max_hubs: int = 1024
-    checkpoint_every: int = 0  # iterations between rank checkpoints (0 = off)
 
     def __post_init__(self):
         # enum-valued fields fail loudly, matching from_dict's

@@ -2361,11 +2361,11 @@ def q_tx_ppr(sf_dir: str):
         # two-level top-k (K6): per-shard top-200 chunk partials, merged
         # on the driver — P×200 rows, never the (n,) score vector
         ray.get([a.load_kinds.remote(g.vertex_parts) for a in sg.actors])
-        parts = ray.get([a.topk_chunk_scores.remote(0, 200) for a in sg.actors])
+        parts = ray.get([a.topk_chunk_scores_batch.remote([0], 200) for a in sg.actors])
     finally:
         sg.shutdown()
-    vids = np.concatenate([p[0] for p in parts])
-    scs = np.concatenate([p[1] for p in parts])
+    vids = np.concatenate([p[1] for p in parts])
+    scs = np.concatenate([p[2] for p in parts])
     order = np.lexsort((vids, -scs))[:200]
     return pd.DataFrame(
         {"vid": vids[order], "score": np.round(scs[order], 9)}

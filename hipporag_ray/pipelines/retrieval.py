@@ -41,6 +41,7 @@ the same directory reloads everything (tests_openai.py:52-60 parity).
 from __future__ import annotations
 
 import inspect
+import json
 import os
 import shutil
 
@@ -984,8 +985,6 @@ class HippoRagEngine:
         records + their adjacency expansion as extra parquet parts
         (each part carries its own row-group stats, so shard pruning
         still works)."""
-        import json
-
         from ..stages.shuffle import hash_join
         from ..stages.synonymy import synonymy_edges_ds
 
@@ -1090,27 +1089,26 @@ class HippoRagEngine:
             os.makedirs(self.fact_store.dir, exist_ok=True)
             stats = self._reindex()
         # entity rows whose every referencing chunk was deleted no longer
-        # appear in the graph; drop them from the store too.  Stale keys
-        # come from a distributed left anti join (stored keys vs live
-        # entity vertices) — only the stale set (delete-sized) reaches
-        # the driver.
-        from ..stages.shuffle import hash_join
+        # appear in the graph; drop them from the store too.  Only an
+        # entity a deleted text mentions can have died, so its keys (at
+        # the graph's min_token_len) are probed against the vertex
+        # table, and the misses leave the store: a delete-sized probe,
+        # not a join of the whole store.
+        from ..state.parts import in_keys, probe_keys
 
         g = self.graph()
-        stored = self.entity_store.dataset().map_batches(
-            lambda b: pa.table({"node_key": b["hash_id"]}), batch_format="pyarrow"
+        with open(os.path.join(self.graph_dir, "manifest.json")) as f:
+            min_len = json.load(f).get("min_token_len", self.min_token_len)
+        rows = ChunkToVertexRows(min_len)(
+            _to_chunk_rows(pa.table({"text": pa.array(texts, pa.string())}))
         )
-        live = g.vertices().map_batches(
-            lambda b: pa.table({"node_key": b["node_key"]}).filter(
-                pc.equal(b["kind"], "entity")
-            ),
-            batch_format="pyarrow",
+        keys = np.unique(
+            rows["node_key"].filter(pc.equal(rows["kind"], "entity")).to_numpy(zero_copy_only=False)
         )
-        stale_df = hash_join(
-            stored.materialize(), live.materialize(), "node_key", how="leftanti"
-        ).to_pandas()
-        if not stale_df.empty and "node_key" in stale_df.columns:
-            self.entity_store.delete(set(stale_df["node_key"]))
+        live = probe_keys(g.vertex_parts, "node_key", keys)["node_key"]
+        stale = keys[~in_keys(keys, live)]
+        if len(stale):
+            self.entity_store.delete(set(stale))
         return stats
 
     def _delete_facts_for(self, del_chunk_arr: np.ndarray) -> None:

@@ -33,8 +33,8 @@ def topk_tie_rows(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top-k candidate indices INCLUDING boundary ties: bare
     argpartition picks arbitrary members of a tied boundary, which
     would make a per-block top-k depend on block layout (the two-level
-    merge then diverges from a global sort — GraphShard.topk_chunk_scores
-    keeps the same contract).  Returns (row_idx, col_idx) of every
+    merge then diverges from a global sort —
+    GraphShard.topk_chunk_scores_batch keeps the same contract).  Returns (row_idx, col_idx) of every
     candidate with sims >= the row's k-th largest value."""
     nq, nr = sims.shape
     kk = min(k, nr)

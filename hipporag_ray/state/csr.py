@@ -15,25 +15,29 @@ Iteration protocol (pull / broadcast model):
 1. every actor publishes one small per-vertex message vector for its
    range (PPR: damping*score/out_weight; CC/LP/coreness: labels) —
    total bytes per iteration = n x B, independent of P;
-2. the P slices are merged into k message CHUNKS (PPR; consecutive-shard
-   vid ranges cut at vertex quantiles) and every actor segment-reduces
-   its incoming edges chunk by chunk, pre-sorted by (chunk, own vid)
-   (compiled one-pass kernel in state/native.py, chunked
-   ``np.*.reduceat`` fallback).  With one chunk (k = 1, every pool of
-   at most 7 shards by default) there is no merge hop: each step takes
-   the P shard messages as its arguments and merges them itself.  With
-   k > 1, k persistent zero-CPU assembler actors merge the chunks in
-   parallel (a single full-matrix assemble was the serial O(n x B)
-   Amdahl term once the compiled kernel landed, capping 8->32-CPU
-   scaling at ~0.5) and every actor fetches the k objects (zero-copy
-   plasma reads; on a multi-node cluster each node fetches each chunk
-   once — the same n x B per-node traffic).  Handing k refs to P pulls
-   instead of P refs to each of P pulls matters at large P: the
-   driver-side O(P^2) ref bookkeeping measured 170-330 ms per
-   iteration at P=63 — more than the edge scan itself.  CC/LP messages
-   are labels (n x 8 bytes total — no win from chunk parallelism) and
-   merge into one object, on one assembler when k > 1, scanned per
-   chunk.
+2. every actor holds its incoming edges in one order, sorted by (own
+   vid, source vid), for every algorithm and pool shape, and
+   segment-reduces them against the k message CHUNKS, each read where
+   it lies (compiled one-pass kernel in state/native.py, which names an
+   edge's chunk by a small per-edge chunk id; ``np.*.reduceat``
+   fallback over the concatenated message).  With k =
+   1 (every pool of at most 7 shards by default) there is no merge hop:
+   the P shard messages are the chunks, cut at the shard bounds.  With
+   k > 1, k persistent zero-CPU assembler actors merge the PPR slices
+   into k chunks of consecutive shards in parallel (a single
+   full-matrix assemble was the serial O(n x B) Amdahl term once the
+   compiled kernel landed, capping 8->32-CPU scaling at ~0.5) and every
+   actor fetches the k objects (zero-copy plasma reads; on a
+   multi-node cluster each node fetches each chunk once — the same
+   n x B per-node traffic).  Handing k refs to P pulls instead of P
+   refs to each of P pulls matters at large P: the driver-side O(P^2)
+   ref bookkeeping measured 170-330 ms per iteration at P=63 — more
+   than the edge scan itself.  CC/LP/coreness messages are labels
+   (n x 8 bytes total — no win from chunk parallelism): each step
+   merges whatever label messages it gets (the P shard messages, or
+   one assembled on one assembler when k > 1) into the full vector.
+   A source's chunk changes neither an owner's rows nor their order,
+   so every chunk cut gives the same bits.
 
 Every algorithm runs one ``GraphShard.step`` (pull, then publish the
 next message) per shard per iteration, from ``algos/iterate._superstep``.
@@ -196,61 +200,31 @@ class GraphShard:
             self._push_starts = np.zeros(0, np.int64)
             self._push_uniq = np.zeros(0, np.int64)
 
-        # incoming edges as a CHUNKED CSR: edges sorted by (message
-        # chunk of the source vid, own, other).  ``msg_chunk_bounds``
-        # partitions the vid range into k chunks, and for k > 1 the
-        # driver merges the per-shard contrib slices into k chunk
-        # matrices on k parallel assembler actors instead of one serial
-        # full-matrix concat — with the compiled kernel the O(n x B)
-        # serial assemble was the Amdahl term that capped 8->32-CPU scaling
-        # efficiency at ~0.5.  Each chunk's edge run is a contiguous
-        # slice of the same arrays (no memory duplication), ``other``
-        # is stored chunk-LOCAL (row index into that chunk's message
-        # matrix), and the pull calls the accumulating kernel once per
-        # chunk.  k=1 (the default for directly-constructed shards)
-        # is one chunk covering the whole vid range.
-        # Handing k refs to P pulls instead of P refs each remains the
-        # point: driver-side O(P^2) ref bookkeeping measured 170-330 ms
-        # per iteration at P=63 — more than the edge scan itself.
-        cb = (
+        # incoming edges in ONE order for every kind and pool shape:
+        # sorted by (own, source vid), one segment per owned vertex.
+        # ``msg_chunk_bounds`` cut the vid range into the k message
+        # chunks a PPR step receives — the pool's assembled chunks, or,
+        # in a pool without assemblers, the P shard messages themselves
+        # (the shard bounds) — and the kernel reads each source row in
+        # the chunk that holds it, named by ``_gcid`` (int16: 2 bytes
+        # per edge).  Sources ascend within a segment, so the chunk cut
+        # changes neither the rows nor their summation order.  k=1 (the
+        # default for directly-constructed shards) is one message
+        # covering the whole vid range.
+        self._chunk_bounds = (
             np.asarray(msg_chunk_bounds, dtype=np.int64)
             if msg_chunk_bounds is not None
             else np.array([0, n_vertices], dtype=np.int64)
         )
-        self._chunk_bounds = cb
-        kc = len(cb) - 1
-        if len(own):
-            if kc > 1:
-                cid = np.searchsorted(cb, other, side="right") - 1
-                order = np.lexsort((other, own, cid))
-                cid = cid[order]
-            else:
-                order = np.lexsort((other, own))
-                cid = np.zeros(len(own), dtype=np.int64)
-            own, other, w = own[order], other[order], w[order]
-            offs = np.searchsorted(cid, np.arange(kc + 1))
-            other_loc = other - cb.take(cid)
-        else:
-            offs = np.zeros(kc + 1, dtype=np.int64)
-            other_loc = other
+        order = np.lexsort((other, own))
+        own, other, w = own[order], other[order], w[order]
+        self._starts = np.flatnonzero(np.diff(own, prepend=-1))
+        self._uniq = own[self._starts]
         self._gown = own
-        self._gother_loc = other_loc  # chunk-local row index
+        self._gother = other  # source vid
+        self._gcid = (np.searchsorted(self._chunk_bounds, other, side="right") - 1).astype(np.int16)
         self._gw = w
         self._gw_msg = w.astype(self._msg_dtype)  # msg-dtype copy for the edge scan
-        chunks = []
-        for c in range(kc):
-            e0, e1 = int(offs[c]), int(offs[c + 1])
-            so = own[e0:e1]
-            if e1 > e0:
-                starts = np.concatenate(
-                    [[0], np.nonzero(np.diff(so))[0] + 1]
-                ).astype(np.int64)
-                uniq = np.ascontiguousarray(so[starts])
-            else:
-                starts = np.zeros(0, dtype=np.int64)
-                uniq = np.zeros(0, dtype=np.int64)
-            chunks.append((e0, e1, starts, uniq))
-        self._chunks = chunks
         # rows scanned per iteration: incoming rows + hub-push rows
         self.edge_count = len(own) + len(self._push[0])
 
@@ -337,33 +311,15 @@ class GraphShard:
         self._is_chunk[vids[kinds == "chunk"]] = True
         return int(self._is_chunk.sum())
 
-    def topk_chunk_scores(self, query_idx: int, k: int):
-        """Per-shard top-k chunk vertices by score for one query column;
-        the driver merges P partial top-ks (two-level top-k, K6)."""
-        mask = getattr(self, "_is_chunk", None)
-        if mask is None or not mask.any():
-            return np.zeros(0, np.int64), np.zeros(0)
-        vids_local = np.nonzero(mask)[0]
-        s = self.scores[vids_local, query_idx]
-        kk = min(k, len(s))
-        # deterministic tie-break (score desc, vid asc): argpartition
-        # alone picks arbitrary members of a boundary tie, which would
-        # make the two-level merge diverge from a global sort
-        if kk < len(s):
-            part = np.argpartition(-s, kk - 1)
-            cand = np.nonzero(s >= s[part[kk - 1]])[0]
-        else:
-            cand = np.arange(len(s))
-        sel = cand[np.lexsort((vids_local[cand], -s[cand]))[:kk]]
-        return vids_local[sel] + self.lo, s[sel]
-
     def topk_chunk_scores_batch(self, query_idxs, k: int):
         """Per-shard top-k for MANY query columns in one actor call
         (one RPC per shard instead of one per (query, shard) — a
         32-query retrieve over P shards was 32 x P control messages).
         The chunk mask scan and score gather are hoisted ONCE per batch
         (per-query they were O(Q x local_n) on the serving hot path).
-        Returns (qidx_rep, vids, scores) concatenated across queries."""
+        Returns (qidx_rep, vids, scores) concatenated across queries;
+        ties break by score desc, vid asc, so the driver's merge of the P
+        partial top-ks equals a global sort."""
         query_idxs = list(query_idxs)
         if not query_idxs:
             return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
@@ -494,25 +450,33 @@ class GraphShard:
         """PPR pull: next = (1-d)*reset + d*dangling*reset + incoming
         segment sums; update the active columns in place and return the
         per-column L1 delta.  ``msgs`` are the k per-chunk (M_c,
-        dangling_partial, hub_partial) tuples (merged by the assemblers,
-        or by ``step`` when k = 1), already at ``active`` width (the
-        merge subsets the columns).
-        Base ranks first, then one accumulating segment-sum pass per
-        message chunk (compiled kernel, or the blocked-gather numpy
-        fallback).
+        dangling_partial, hub_partial) tuples of ``_chunk_bounds``: the
+        assemblers' chunks, already at ``active`` width (the merge
+        subsets the columns), or the P shard messages, which are at the
+        width they were published with and so are narrowed here with
+        one column take, on the waves after the active set shrank.
+        Base ranks first, then one segment-sum pass over all edges that
+        reads the chunks in place (compiled kernel), or over the
+        concatenated message (blocked-gather numpy fallback).
 
         On the numpy fallback the edge scan runs in fixed-size blocks
         (snapped to segment boundaries) through a persistent gather
         buffer — a single (E x B) temporary measured 3x slower at low
         shard counts from mmap churn and page faults.  The compiled
         kernel needs no temporary at all."""
-        if len(msgs) != len(self._chunks):
+        cb = self._chunk_bounds
+        if len(msgs) != len(cb) - 1:
             raise ValueError(
-                f"ppr step: got {len(msgs)} message chunks, shard has {len(self._chunks)}"
+                f"ppr step: got {len(msgs)} message chunks, shard has {len(cb) - 1}"
             )
         Ms = [m[0] for m in msgs]
         dangling = np.sum([m[1] for m in msgs], axis=0)
         hub_total = np.sum([m[2] for m in msgs], axis=0)
+        if len(dangling) != len(active):
+            # every shard published with this shard's ``_msg_active``
+            pos = np.searchsorted(self._msg_active, active)
+            Ms = [M.take(pos, axis=1) for M in Ms]
+            dangling, hub_total = dangling[pos], hub_total.take(pos, axis=1)
         # .take, not reset[:, active]: fancy indexing on axis 1 returns an
         # F-CONTIGUOUS array and numpy arithmetic preserves that layout —
         # the compiled kernel writes C-order and would scatter into wrong
@@ -530,55 +494,15 @@ class GraphShard:
         nxt = reset * ((1.0 - damping) + damping * dangling)[None, :]
         if len(self._hub_owned_idx):
             nxt[self._hub_local] += hub_total[self._hub_owned_idx]
-        B = len(active)
-        for c, (e0, e1, starts, uniq) in enumerate(self._chunks):
-            if e1 == e0:
-                continue
-            M = Ms[c]
-            other = self._gother_loc[e0:e1]
-            if self._kern is not None:
-                # one-pass compiled SpMM: no (edges x B) temporary, each
-                # message row read once, float64 accumulation (so the
-                # oversized-segment escalation below is moot here)
-                if not M.flags.c_contiguous:
-                    M = np.ascontiguousarray(M)
-                self._kern.spmm(
-                    starts, uniq, other, self._gw_msg[e0:e1], M, nxt
-                )
-                continue
-            if getattr(self, "_buf", None) is None or self._buf.shape[1] != B:
-                self._buf = np.empty(
-                    (self._PULL_CHUNK + 1024, max(B, 1)), dtype=self._msg_dtype
-                )
-            buf = self._buf
-            w_s = self._gw[e0:e1]
-            w32 = self._gw_msg[e0:e1, None]
-            nseg = len(starts)
-            n_edges = e1 - e0
-            s0 = 0
-            while s0 < nseg:
-                # take whole segments until ~_PULL_CHUNK edges (a single
-                # segment larger than the chunk is processed alone)
-                s1 = int(np.searchsorted(starts, starts[s0] + self._PULL_CHUNK, side="left"))
-                s1 = max(s1, s0 + 1)
-                a = int(starts[s0])
-                b = int(starts[s1]) if s1 < nseg else n_edges
-                m = b - a
-                if m <= buf.shape[0]:
-                    block = buf[:m, :B]
-                    np.take(M, other[a:b], axis=0, out=block)
-                    np.multiply(block, w32[a:b], out=block)
-                else:
-                    # lone oversized segment (high-degree vertex):
-                    # escalate to float64 — a sequential float32
-                    # reduceat over a degree-d segment has O(d)*eps32
-                    # worst-case error, so the float32 message error
-                    # bound (~6e-8) only holds for segments capped by
-                    # the chunk size; big segments pay the cast, which
-                    # is rare by construction (hubs are salted out)
-                    block = M[other[a:b]].astype(np.float64) * w_s[a:b, None]
-                nxt[uniq[s0:s1]] += np.add.reduceat(block, starts[s0:s1] - a, axis=0)
-                s0 = s1
+        if self._kern is not None:
+            # one-pass compiled SpMM: no (edges x B) temporary, each
+            # message row read once where it lies, float64 accumulation
+            # (so _pull_numpy's oversized-segment escalation is moot)
+            self._kern.spmm(
+                self._starts, self._uniq, self._gother, self._gcid, self._gw_msg, Ms, cb, nxt
+            )
+        elif len(self._gown):
+            self._pull_numpy(np.concatenate(Ms) if len(Ms) > 1 else Ms[0], nxt)
         if full:
             # no gather, no scatter: diff against the old matrix in one
             # buffer, then REBIND scores to nxt (the fancy-index
@@ -595,6 +519,41 @@ class GraphShard:
         self._perf["kernel_s"] += _t.perf_counter() - _tk
         self._perf["kernel_cpu_s"] += _t.thread_time() - _ck
         return delta
+
+    def _pull_numpy(self, M: np.ndarray, nxt: np.ndarray) -> None:
+        """The numpy fallback of the segment-sum pass: ``nxt`` gains the
+        incoming sums against the full (n, B) message ``M``."""
+        B = M.shape[1]
+        if getattr(self, "_buf", None) is None or self._buf.shape[1] != B:
+            self._buf = np.empty((self._PULL_CHUNK + 1024, max(B, 1)), dtype=self._msg_dtype)
+        buf = self._buf
+        starts, uniq, other = self._starts, self._uniq, self._gother
+        w32 = self._gw_msg[:, None]
+        nseg = len(starts)
+        s0 = 0
+        while s0 < nseg:
+            # take whole segments until ~_PULL_CHUNK edges (a single
+            # segment larger than the chunk is processed alone)
+            s1 = int(np.searchsorted(starts, starts[s0] + self._PULL_CHUNK, side="left"))
+            s1 = max(s1, s0 + 1)
+            a = int(starts[s0])
+            b = int(starts[s1]) if s1 < nseg else len(other)
+            m = b - a
+            if m <= buf.shape[0]:
+                block = buf[:m, :B]
+                np.take(M, other[a:b], axis=0, out=block)
+                np.multiply(block, w32[a:b], out=block)
+            else:
+                # lone oversized segment (high-degree vertex):
+                # escalate to float64 — a sequential float32
+                # reduceat over a degree-d segment has O(d)*eps32
+                # worst-case error, so the float32 message error
+                # bound (~6e-8) only holds for segments capped by
+                # the chunk size; big segments pay the cast, which
+                # is rare by construction (hubs are salted out)
+                block = M[other[a:b]].astype(np.float64) * self._gw[a:b, None]
+            nxt[uniq[s0:s1]] += np.add.reduceat(block, starts[s0:s1] - a, axis=0)
+            s0 = s1
 
     def scores_table(self, query_idx: int = 0) -> pa.Table:
         vids = np.arange(self.lo, self.hi, dtype=np.int64)
@@ -614,32 +573,23 @@ class GraphShard:
         self.labels = np.arange(self.lo, self.hi, dtype=np.int64)
 
     def labels_msg(self):
-        """(labels, hub_mins): min neighbor label per hub from my rows."""
+        """(labels, [hub_mins]): min neighbor label per hub from my rows."""
         hub_mins = np.full(len(self.hubs), _I64_MAX, dtype=np.int64)
         p_own, _p_hub, _p_w = self._push
         if len(p_own):
             hub_mins[self._push_uniq] = np.minimum.reduceat(
                 self.labels[p_own], self._push_starts
             )
-        return self.labels, hub_mins
+        return self.labels, [hub_mins]
 
-    def cc_pull(self, label_msgs) -> int:
-        global_lab, hub_parts = label_msgs
+    def cc_pull(self, *msgs) -> int:
+        global_lab, hub_parts = assemble_labels(msgs)
         nxt = self.labels.copy()
-        if len(self._gown):
-            if not global_lab.flags.c_contiguous:
-                global_lab = np.ascontiguousarray(global_lab)
-            cb = self._chunk_bounds
-            for c, (e0, e1, starts, uniq) in enumerate(self._chunks):
-                if e1 == e0:
-                    continue
-                lab_c = global_lab[int(cb[c]) : int(cb[c + 1])]
-                other = self._gother_loc[e0:e1]
-                if self._kern is not None:
-                    self._kern.segmin(starts, uniq, other, lab_c, nxt)
-                else:
-                    mins = np.minimum.reduceat(lab_c[other], starts)
-                    nxt[uniq] = np.minimum(nxt[uniq], mins)
+        if self._kern is not None:
+            self._kern.segmin(self._starts, self._uniq, self._gother, global_lab, nxt)
+        elif len(self._gown):
+            mins = np.minimum.reduceat(global_lab[self._gother], self._starts)
+            nxt[self._uniq] = np.minimum(nxt[self._uniq], mins)
         if len(self._hub_owned_idx):
             hub_total = np.min(hub_parts, axis=0)
             hl = self._hub_local
@@ -664,7 +614,7 @@ class GraphShard:
     # ------------------------------------------------------------------
 
     def lp_msg(self):
-        """(labels, hub_votes (hub_idx, label, wsum)): per-hub label
+        """(labels, [hub_votes (hub_idx, label, wsum)]): per-hub label
         vote partials from my push rows."""
         p_own, p_hub, p_w = self._push
         if len(p_own):
@@ -676,47 +626,36 @@ class GraphShard:
             votes = (h2[starts], l2[starts], np.add.reduceat(w2, starts))
         else:
             votes = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
-        return self.labels, votes
+        return self.labels, [votes]
 
-    def lp_pull(self, label_msgs) -> int:
+    def _owned_hub_rows(self, parts):
+        """The rows of the P hub partials ``parts`` (hub index, value,
+        weight) whose hub this shard owns, with the hub as a local
+        vertex index, in shard order."""
+        h_idx, vals, ws = (np.concatenate(x) for x in zip(*parts))
+        keep = np.isin(h_idx, self._hub_owned_idx)
+        return self.hubs[h_idx[keep]] - self.lo, vals[keep], ws[keep]
+
+    def lp_pull(self, *msgs) -> int:
         """Weighted max-vote: every owned vertex adopts the label with
-        the largest summed weight over its vote rows (the chunk rows,
-        labelled from the merged label vector, then the owned hubs' vote
-        partials), a tie going to the smallest label; a vertex with no
-        rows keeps its label.  With the compiled kernels one
-        ``lp_vote`` pass buckets the rows by owner (stable counting
-        sort) and tallies each owner's labels in a hash table, summing
-        in row order as ``lp_oracle`` does.  The numpy fallback groups
-        by two lexsorts and sums with ``np.add.reduceat``, whose
+        the largest summed weight over its vote rows (the edge rows,
+        owner-grouped and labelled from the merged label vector, then
+        the owned hubs' vote partials), a tie going to the smallest
+        label; a vertex with no rows keeps its label.  With the compiled
+        kernels one ``lp_vote`` pass buckets the rows by owner (stable
+        counting sort) and tallies each owner's labels in a hash table,
+        summing in row order as ``lp_oracle`` does.  The numpy fallback
+        groups by two lexsorts and sums with ``np.add.reduceat``, whose
         pairwise order can differ in the last bit; both pick the same
         labels unless two sums tie within rounding."""
-        global_lab, vote_parts = label_msgs
-        all_own, all_lab, all_w = [], [], []
-        if len(self._gown):
-            cb = self._chunk_bounds
-            for c, (e0, e1, _starts, _uniq) in enumerate(self._chunks):
-                if e1 == e0:
-                    continue
-                all_own.append(self._gown[e0:e1])
-                all_lab.append(
-                    global_lab[int(cb[c]) : int(cb[c + 1])][self._gother_loc[e0:e1]]
-                )
-                all_w.append(self._gw[e0:e1])
+        global_lab, vote_parts = assemble_labels(msgs)
+        own_c, lab_c, w_c = self._gown, global_lab[self._gother], self._gw
         if len(self._hub_owned_idx):
-            for h_idx, labs, ws in vote_parts:
-                if len(h_idx) == 0:
-                    continue
-                keep = np.isin(h_idx, self._hub_owned_idx)
-                if keep.any():
-                    all_own.append(self.hubs[h_idx[keep]] - self.lo)
-                    all_lab.append(labs[keep])
-                    all_w.append(ws[keep])
-        nxt = self.labels.copy()
-        if all_own:
-            # one piece (one message chunk, no hub votes) is used as it is
             own_c, lab_c, w_c = (
-                p[0] if len(p) == 1 else np.concatenate(p) for p in (all_own, all_lab, all_w)
+                np.concatenate(p) for p in zip((own_c, lab_c, w_c), self._owned_hub_rows(vote_parts))
             )
+        nxt = self.labels.copy()
+        if len(own_c):
             if self._kern is not None:
                 self._kern.lp_vote(own_c, lab_c, w_c, nxt)
             else:
@@ -742,11 +681,11 @@ class GraphShard:
     # ------------------------------------------------------------------
 
     def core_degree_partial(self) -> np.ndarray:
-        """Phase-1 init collective: cache this shard's chunk-row degree
+        """Phase-1 init collective: cache this shard's edge-row degree
         of its owned range and return the per-hub push-row counts —
         summed across shards these are exactly the hubs' degrees (every
         hub edge (h, u) appears once as a push row (u, h) at u's
-        owner; hub own-side rows are dropped from the chunks).
+        owner; hub own-side rows are dropped from the edge rows).
 
         Core numbers are those of the simple graph (``coreness_oracle``):
         the degree and the h-index multisets count distinct (owner,
@@ -756,28 +695,20 @@ class GraphShard:
         that never run coreness do not pay for them."""
         if self._core_rows is None:
             self._build_core_pairs()
-        deg = np.zeros(self.local_n, np.int64)
-        for own, _other in self._core_rows:
-            deg += np.bincount(own, minlength=self.local_n)
-        self._core_chunk_deg = deg
+        self._core_deg = np.bincount(self._core_rows[0], minlength=self.local_n)
         return np.bincount(self._core_push[1], minlength=len(self.hubs)).astype(np.int64)
 
     def _build_core_pairs(self) -> None:
-        """Per message chunk, the (own, chunk-local other) rows with
-        parallel records and self-loops dropped, and the hub-push rows
-        (own, hub index) likewise.  A pair's records all sit on its
-        owner's shard and in one chunk, so the dedup is local."""
-        cb = self._chunk_bounds
-        rows = []
-        for c, (e0, e1, _starts, _uniq) in enumerate(self._chunks):
-            own = self._gown[e0:e1]
-            other = self._gother_loc[e0:e1]
-            keep = own + self.lo != other + cb[c]
-            # rows are (own, other)-sorted within a chunk, so a parallel
-            # record sits right after its twin
-            keep[1:] &= (own[1:] != own[:-1]) | (other[1:] != other[:-1])
-            rows.append((own[keep], other[keep]))
-        self._core_rows = rows
+        """The (own, source vid) edge rows with parallel records and
+        self-loops dropped, and the hub-push rows (own, hub index)
+        likewise.  A pair's records all sit on its owner's shard, so
+        the dedup is local."""
+        own, other = self._gown, self._gother
+        keep = own + self.lo != other
+        # rows are (own, other)-sorted, so a parallel record sits right
+        # after its twin
+        keep[1:] &= (own[1:] != own[:-1]) | (other[1:] != other[:-1])
+        self._core_rows = (own[keep], other[keep])
         p_own, p_hub, _p_w = self._push
         keep = p_own + self.lo != self.hubs[p_hub]
         p_own, p_hub = p_own[keep], p_hub[keep]
@@ -785,11 +716,11 @@ class GraphShard:
         self._core_push = (p_own[first], p_hub[first])
 
     def core_init(self, *hub_parts) -> None:
-        """Start every owned vertex at its degree: the chunk-row degree
+        """Start every owned vertex at its degree: the edge-row degree
         cached by this shard's ``core_degree_partial``, plus, for an owned
         hub, its push-row count summed over the P shards' partials
         ``hub_parts`` in shard order."""
-        deg = self._core_chunk_deg.copy()
+        deg = self._core_deg.copy()
         if len(self._hub_owned_idx):
             hub_deg = np.sum(hub_parts, axis=0)
             deg[self._hub_local] += hub_deg[self._hub_owned_idx]
@@ -799,7 +730,7 @@ class GraphShard:
         self._core_prev_global = None
 
     def core_msg(self):
-        """(values, hub COO (hub_idx, value, count)): per-hub neighbor
+        """(values, [hub COO (hub_idx, value, count)]): per-hub neighbor
         value multisets from my push rows, run-length compressed."""
         if self._core_rows is None:  # a resumed run skips core_degree_partial
             self._build_core_pairs()
@@ -815,12 +746,10 @@ class GraphShard:
         else:
             z = np.zeros(0, np.int64)
             coo = (z, z, z)
-        return self.labels, coo
+        return self.labels, [coo]
 
-    def core_pull(self, msgs) -> int:
-        global_vals, coo_parts = msgs
-        if not global_vals.flags.c_contiguous:
-            global_vals = np.ascontiguousarray(global_vals)
+    def core_pull(self, *msgs) -> int:
+        global_vals, coo_parts = assemble_labels(msgs)
         # exact active-set skip: x_t(v) = min(x_{t-1}(v), H(nbr values))
         # is unchanged when no neighbor value moved since v's last
         # recompute (H input identical and the min guard already
@@ -830,50 +759,24 @@ class GraphShard:
         # iterations with few movers).  Hubs stay always-dirty (their
         # COO parts are cheap and diffing them is not).
         prev = getattr(self, "_core_prev_global", None)
-        self._core_prev_global = global_vals.copy()
-        dirty = None  # None = everything dirty (first iteration)
+        self._core_prev_global = global_vals  # a fresh array: the merge copies
+        own_c, other_c = self._core_rows
+        val_c = global_vals[other_c]
         if prev is not None and len(prev) == len(global_vals):
             changed_g = global_vals != prev
             dirty = np.zeros(self.local_n, dtype=bool)
             if changed_g.any() and len(self._gown):
-                cb = self._chunk_bounds
-                for c, (e0, e1, starts, uniq) in enumerate(self._chunks):
-                    if e1 == e0:
-                        continue
-                    ch = changed_g[int(cb[c]) : int(cb[c + 1])][
-                        self._gother_loc[e0:e1]
-                    ]
-                    if ch.any():
-                        dirty[uniq] |= np.maximum.reduceat(ch, starts).astype(bool)
-        all_own, all_val, all_cnt = [], [], []
-        if len(self._gown):
-            cb = self._chunk_bounds
-            for c, (own_s, other_s) in enumerate(self._core_rows):
-                if len(own_s) == 0:
-                    continue
-                val_s = global_vals[int(cb[c]) : int(cb[c + 1])][other_s]
-                if dirty is not None:
-                    m = dirty[own_s]
-                    if not m.any():
-                        continue
-                    own_s, val_s = own_s[m], val_s[m]
-                all_own.append(own_s)
-                all_val.append(val_s)
-                all_cnt.append(np.ones(len(own_s), np.int64))
+                ch = changed_g[self._gother]
+                dirty[self._uniq] = np.maximum.reduceat(ch, self._starts).astype(bool)
+            m = dirty[own_c]
+            own_c, val_c = own_c[m], val_c[m]
+        cnt_c = np.ones(len(own_c), np.int64)
         if len(self._hub_owned_idx):
-            for h_idx, vals, cnts in coo_parts:
-                if len(h_idx) == 0:
-                    continue
-                keep = np.isin(h_idx, self._hub_owned_idx)
-                if keep.any():
-                    all_own.append(self.hubs[h_idx[keep]] - self.lo)
-                    all_val.append(vals[keep])
-                    all_cnt.append(cnts[keep])
+            own_c, val_c, cnt_c = (
+                np.concatenate(p) for p in zip((own_c, val_c, cnt_c), self._owned_hub_rows(coo_parts))
+            )
         nxt = self.labels.copy()
-        if all_own:
-            own_c = np.concatenate(all_own)
-            val_c = np.concatenate(all_val)
-            cnt_c = np.concatenate(all_cnt)
+        if len(own_c):
             # weighted h-index per owned vertex: sort (own, value desc),
             # running count C within the group, h = max min(value, C)
             order = np.lexsort((-val_c, own_c))
@@ -902,39 +805,25 @@ class GraphShard:
         then publish the next one from the updated state (bit-identical
         to separate pull and publish waves).  ``args`` are the
         ``message`` params, then the messages — top-level args, so Ray
-        auto-derefs them.  With one message chunk (k = 1) they are the
-        P shard messages, merged here (``assemble_ppr`` /
-        ``assemble_labels``, as an assembler would); with k > 1, for
-        ``ppr`` the k per-chunk (M_c, dangling, hub) partials of the
-        assemblers and for ``cc``/``lp``/``coreness`` the one assembled
-        label message.  Returns, for ``ppr`` (params damping, active),
-        (per-column L1 delta, next contrib); for the label kinds,
-        (changed count, next label message)."""
+        auto-derefs them: for ``ppr`` (params damping, active) the k
+        message chunks of ``_chunk_bounds`` (the assemblers' chunks, or
+        the P shard messages in a pool without assemblers), read where
+        they lie; for ``cc``/``lp``/``coreness`` any number of label
+        messages (the P shard messages, or one assembled one), merged
+        by ``assemble_labels``.  Returns, for ``ppr``, (per-column L1
+        delta, next contrib); for the label kinds, (changed count, next
+        label message)."""
         import time as _t
 
         _ts = _t.perf_counter()
         _cs = _t.thread_time()
         pull, publish = self._KINDS[kind]
         params = args[:2] if kind == "ppr" else ()
-        msgs = args[len(params) :]
-        if len(self._chunks) == 1:
-            msgs = (self._merge(kind, params, msgs),)
-        out = pull(self, *params, *msgs), publish(self, *params)
+        out = pull(self, *args), publish(self, *params)
         self._perf["step_s"] += _t.perf_counter() - _ts
         self._perf["step_cpu_s"] += _t.thread_time() - _cs
         self._perf["steps"] += 1
         return out
-
-    def _merge(self, kind: str, params: tuple, msgs) -> tuple:
-        """The P shard messages as one merged message.  Every shard
-        published with the same ``active`` set, so this shard's own
-        ``_msg_active`` gives the columns all of them cover, and a
-        narrowed active set is taken in the one merge fill."""
-        if kind != "ppr":
-            return assemble_labels(msgs)
-        active, published = params[1], self._msg_active
-        pos = None if len(active) == len(published) else np.searchsorted(published, active)
-        return assemble_ppr(msgs, pos)
 
     def message(self, kind: str, *args, init: bool = False):
         """``kind``'s message from the current state — the prologue wave
@@ -1006,9 +895,8 @@ def assemble_ppr(msgs, pos=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge the PPR contrib messages of one chunk's shard group into a
     broadcast payload: the chunk's message matrix (shard slices
     concatenated in bounds order), the summed dangling mass and the
-    summed hub-push block.  With one message chunk every
-    ``GraphShard.step`` runs it on the P messages it was handed.  With
-    k > 1 the driver runs it on a persistent zero-CPU assembler actor
+    summed hub-push block.  In a pool with k > 1 message chunks the
+    driver runs it on a persistent zero-CPU assembler actor
     (``_ChunkAssembler``), one call per chunk per iteration, and hands
     the output refs to every step — each node then fetches the chunks
     once per iteration (n x B bytes, the same per-node traffic as
@@ -1025,7 +913,9 @@ def assemble_ppr(msgs, pos=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     work scaled with P: at P=64 on the dense bench graph that memcpy
     measured 54.5 s of the 105.7 s total in-actor step time, the single
     largest term of the 8->32-CPU single-box scaling gap.  Here it is
-    k x (n/k x B_now) total — P-independent."""
+    k x (n/k x B_now) total — P-independent.  (A pool without
+    assemblers has at most 7 shards by default, and there each step
+    narrows the P messages it reads, ``GraphShard._pull_chunks``.)"""
     if pos is not None:
         pos = np.asarray(pos, dtype=np.int64)
         rows = [m[0] for m in msgs]
@@ -1047,17 +937,20 @@ def assemble_ppr(msgs, pos=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def assemble_labels(msgs) -> tuple[np.ndarray, list]:
-    """Merge per-shard label messages: the global (n,) label vector plus
-    the list of per-shard hub partials (CC: per-hub mins; LP: vote
-    triples) — the partials are hub-sized, so they ride along unreduced."""
-    return np.concatenate([m[0] for m in msgs]), [m[1] for m in msgs]
+    """Merge label messages (labels, [hub partials]) in bounds order:
+    the (n,) label vector plus the list of the per-shard hub partials
+    (CC: per-hub mins; LP: vote triples; coreness: value COO) — the
+    partials are hub-sized, so they ride along unreduced.  A merged
+    message has the same form, so merging it again (a step handed one
+    assembler's output) gives it back."""
+    return np.concatenate([m[0] for m in msgs]), [p for m in msgs for p in m[1]]
 
 
 class _ChunkAssembler:
     """Persistent zero-CPU actor that merges one message chunk per
     iteration; a pool has k of them when it has k > 1 message chunks
-    and none at k = 1, where each step merges the P messages itself
-    and the wave saves an actor hop.  PLAIN ray tasks here caused
+    and none at k = 1, where each step reads the P shard messages in
+    place and the wave saves an actor hop.  PLAIN ray tasks here caused
     worker-process churn: the raylet reaps idle task workers above the
     CPU count between PPR calls, so each call's first iterations paid
     ~1 s of fresh-worker spawn + import (observed as 134 spawned
@@ -1375,7 +1268,7 @@ class ShardedGraph:
             # chunk-view overheads outweigh the extra assemble
             # parallelism); tiny pools scale k down so a group is
             # never smaller than ~4 shards, and up to 7 shards take
-            # k = 1: no assembler, each step merges the P messages
+            # k = 1: no assembler, each step reads the P messages
             msg_chunks = min(4, max(1, n_shards // 4))
         k = max(1, min(int(msg_chunks), n_shards))
         targets = (np.arange(1, k) * n_vertices) // max(k, 1)
@@ -1387,7 +1280,10 @@ class ShardedGraph:
             list(range(int(group_edges[i]), int(group_edges[i + 1])))
             for i in range(len(group_edges) - 1)
         ]
-        self.chunk_bounds = self.bounds[group_edges]
+        # a pool without assemblers hands each step the P shard
+        # messages, so the shard bounds are its message chunk bounds
+        n_asm = len(self.msg_groups) if len(self.msg_groups) > 1 else 0
+        self.chunk_bounds = self.bounds[group_edges] if n_asm else self.bounds
         # Reservation rules:
         # * fractional when shards outnumber cores — a pool that
         #   outsizes the cluster at num_cpus=1 deadlocks the loading
@@ -1446,8 +1342,7 @@ class ShardedGraph:
             )
             loads.append(self.actors[-1].get_edge_count.remote())
         # one persistent assembler per message chunk when there are k > 1
-        # (see _ChunkAssembler); at k = 1 the steps merge the messages
-        n_asm = len(self.msg_groups) if len(self.msg_groups) > 1 else 0
+        # (see _ChunkAssembler); at k = 1 the steps read the messages
         self.assemblers = _trim(self.assemblers, n_asm)
         self.assemblers += [
             ChunkAssemblerActor.remote() for _ in range(len(self.assemblers), n_asm)

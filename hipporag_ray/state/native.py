@@ -1,9 +1,13 @@
 """Optional compiled segment kernels for the shard iteration hot path.
 
 The PPR pull is a weighted segment-sum SpMM: for every destination
-segment ``s`` (one owned vertex's incoming edges from one source
-shard), ``nxt[uniq[s], :] += Σ_e w[e] * msg[other[e], :]``.  The
-vectorized numpy form (gather → multiply → ``np.add.reduceat``)
+segment ``s`` (one owned vertex's incoming edges, sorted by source vid),
+``nxt[uniq[s], :] += Σ_e w[e] * msg[other[e], :]``, where the message
+arrives as k chunks (the pool's assembled chunks, or the P shard
+messages themselves) and the kernel reads each source row in place in
+the chunk whose vid range holds it, named by a small per-edge chunk
+id.  The vectorized numpy form (gather →
+multiply → ``np.add.reduceat`` over the concatenated message)
 materializes an (edges × B) float temporary and makes 3-4 passes over
 it — measured ~97 ms per shard-pull at the sf0.1 bench shape.  The
 C loop below makes ONE pass (each message row is read once, the
@@ -11,7 +15,9 @@ destination row stays in L1 for the whole segment) and accumulates in
 float64 regardless of the message dtype — 8-9x faster single-thread
 AND strictly tighter numerics than the float32 ``reduceat`` chain (no
 O(segment-length) float32 error growth, so no oversized-segment
-escalation is needed).
+escalation is needed).  Each segment adds its rows in source-vid
+order however the message is cut into chunks, so every cut gives the
+same bits.
 
 Kernels in the one compiled source:
 
@@ -23,6 +29,10 @@ Kernels in the one compiled source:
 * ``lp_vote`` — the label-propagation max-vote pull: a stable counting
   sort of the vote rows by owner, then one open-addressing label tally
   per owner, replacing two lexsorts over the shard's rows per wave.
+
+Every kernel checks its index ranges in C before it writes anything,
+so a bad index raises ``ValueError`` instead of reading or writing out
+of bounds.
 
 This is an optional acceleration: the kernels are compiled once per
 node with the system C compiler into a content-addressed cache under
@@ -57,74 +67,144 @@ _SRC = r"""
 #include <stdlib.h>
 #include <xmmintrin.h>
 
-/* nxt[uniq[s], :] += sum over segment s of w[e] * msg[other[e], :]
-   Segments are contiguous runs of one destination vertex's edges,
-   sorted by destination (starts/uniq from the shard's group build).
-   Accumulation is double: the destination row rides in L1 across the
-   segment; each float32 message row is read exactly once.
+/* 0 if segment starts are non-decreasing within [0, m] and every
+   owner uniq[s] lies in [0, n), else -1. */
+static int64_t seg_bad(const int64_t *starts, const int64_t *uniq, int64_t nseg,
+                       int64_t m, int64_t n) {
+    int64_t bad = 0, prev = 0;
+    for (int64_t s = 0; s < nseg; s++) {
+        bad |= (starts[s] < prev) | (starts[s] > m) | (uniq[s] < 0) | (uniq[s] >= n);
+        prev = starts[s];
+    }
+    return bad ? -1 : 0;
+}
 
-   Software prefetch: the gather addresses msg + other[e]*B are random
-   over the message chunk but KNOWN far ahead (other[] is sequential),
-   so a two-level prefetch — one line at distance 16 to start the DRAM
+/* 0 if every edge's chunk cid[e] is one of the k chunks and its source
+   vid other[e] lies in that chunk, [cb[cid[e]], cb[cid[e] + 1]), else
+   -1. */
+static int64_t chunk_bad(const int64_t *other, const int16_t *cid, int64_t m,
+                         const int64_t *cb, int64_t k) {
+    int64_t bad = 0;
+    for (int64_t e = 0; e < m; e++) {
+        int64_t c = cid[e];
+        int64_t in = (c >= 0) & (c < k);
+        c = in ? c : 0;
+        bad |= !in | (other[e] < cb[c]) | (other[e] >= cb[c + 1]);
+    }
+    return bad ? -1 : 0;
+}
+
+/* base[c]: the address row 0 of the vid range would have if message
+   chunk c (rows cb[c] .. cb[c + 1] - 1) were part of one full matrix,
+   so source vid o of chunk c is row base[c] + o * row_bytes. */
+static uintptr_t *chunk_bases(const void *const *msg, const int64_t *cb, int64_t k,
+                              int64_t row_bytes) {
+    uintptr_t *base = malloc((size_t)k * sizeof(uintptr_t));
+    if (base)
+        for (int64_t c = 0; c < k; c++)
+            base[c] = (uintptr_t)msg[c] - (uintptr_t)(cb[c] * row_bytes);
+    return base;
+}
+
+/* nxt[uniq[s], :] += sum over segment s of w[e] * row other[e]
+   Segments are contiguous runs of one destination vertex's edges,
+   sorted by (destination, source vid).  Edge e's source row is read
+   where it lies: in message chunk cid[e], whose vid range
+   [cb[c], cb[c + 1]) holds other[e].  Accumulation is double: the
+   destination row rides in L1 across the segment; each float32
+   message row is read exactly once.
+
+   Software prefetch: the gather addresses are random over the message
+   chunks but KNOWN far ahead (other[] and cid[] are sequential), so a
+   two-level prefetch — one line at distance 16 to start the DRAM
    fetch, the full row at distance 4 to pull it into L1 — keeps ~16
    rows in flight, turning a latency-bound random gather into a
    bandwidth-bound stream.  Measured 3.5-5x per thread on both the
    entity-shard (random over the full 52 MB message) and chunk-shard
    (hot 1 MB entity window) access patterns at bench scale; the
    hardware prefetcher cannot do this because consecutive rows share
-   no stride. */
-void spmm_f32(const int64_t *starts, const int64_t *uniq, int64_t nseg,
-              const int64_t *other, const float *w, int64_t m,
-              const float *msg, int64_t B, double *nxt) {
+   no stride.  A row of at most one line (B <= 16 float32) is already
+   requested at distance 16, so it skips the second prefetch, which at
+   B = 1 cost a fifth of the pass.  Returns 0, -1 (nothing written) if
+   seg_bad or chunk_bad refuses the indices, or -2 if a scratch
+   allocation failed. */
+int64_t spmm_f32(const int64_t *starts, const int64_t *uniq, int64_t nseg,
+                 const int64_t *other, const int16_t *cid, const float *w, int64_t m,
+                 const void *const *msg, const int64_t *cb, int64_t k,
+                 int64_t B, double *nxt, int64_t n) {
+    if (seg_bad(starts, uniq, nseg, m, n) || chunk_bad(other, cid, m, cb, k))
+        return -1;
+    const int64_t rb = B * (int64_t)sizeof(float);
+    uintptr_t *base = chunk_bases(msg, cb, k, rb);
+    if (!base)
+        return -2;
     for (int64_t s = 0; s < nseg; s++) {
         int64_t a = starts[s];
         int64_t b = (s + 1 < nseg) ? starts[s + 1] : m;
         double *dst = nxt + uniq[s] * B;
         for (int64_t e = a; e < b; e++) {
             if (e + 16 < m)
-                _mm_prefetch((const char *)(msg + other[e + 16] * B), _MM_HINT_T1);
-            if (e + 4 < m) {
-                const char *p = (const char *)(msg + other[e + 4] * B);
-                for (int64_t c = 0; c < B * 4; c += 64)
+                _mm_prefetch((const char *)(base[cid[e + 16]] + other[e + 16] * rb), _MM_HINT_T1);
+            if (rb > 64 && e + 4 < m) {
+                const char *p = (const char *)(base[cid[e + 4]] + other[e + 4] * rb);
+                for (int64_t c = 0; c < rb; c += 64)
                     _mm_prefetch(p + c, _MM_HINT_T0);
             }
-            const float *src = msg + other[e] * B;
+            const float *src = (const float *)(base[cid[e]] + other[e] * rb);
             double we = (double)w[e];
             for (int64_t j = 0; j < B; j++)
                 dst[j] += we * (double)src[j];
         }
     }
+    free(base);
+    return 0;
 }
 
-void spmm_f64(const int64_t *starts, const int64_t *uniq, int64_t nseg,
-              const int64_t *other, const double *w, int64_t m,
-              const double *msg, int64_t B, double *nxt) {
+int64_t spmm_f64(const int64_t *starts, const int64_t *uniq, int64_t nseg,
+                 const int64_t *other, const int16_t *cid, const double *w, int64_t m,
+                 const void *const *msg, const int64_t *cb, int64_t k,
+                 int64_t B, double *nxt, int64_t n) {
+    if (seg_bad(starts, uniq, nseg, m, n) || chunk_bad(other, cid, m, cb, k))
+        return -1;
+    const int64_t rb = B * (int64_t)sizeof(double);
+    uintptr_t *base = chunk_bases(msg, cb, k, rb);
+    if (!base)
+        return -2;
     for (int64_t s = 0; s < nseg; s++) {
         int64_t a = starts[s];
         int64_t b = (s + 1 < nseg) ? starts[s + 1] : m;
         double *dst = nxt + uniq[s] * B;
         for (int64_t e = a; e < b; e++) {
             if (e + 16 < m)
-                _mm_prefetch((const char *)(msg + other[e + 16] * B), _MM_HINT_T1);
-            if (e + 4 < m) {
-                const char *p = (const char *)(msg + other[e + 4] * B);
-                for (int64_t c = 0; c < B * 8; c += 64)
+                _mm_prefetch((const char *)(base[cid[e + 16]] + other[e + 16] * rb), _MM_HINT_T1);
+            if (rb > 64 && e + 4 < m) {
+                const char *p = (const char *)(base[cid[e + 4]] + other[e + 4] * rb);
+                for (int64_t c = 0; c < rb; c += 64)
                     _mm_prefetch(p + c, _MM_HINT_T0);
             }
-            const double *src = msg + other[e] * B;
+            const double *src = (const double *)(base[cid[e]] + other[e] * rb);
             double we = w[e];
             for (int64_t j = 0; j < B; j++)
                 dst[j] += we * src[j];
         }
     }
+    free(base);
+    return 0;
 }
 
 /* nxt[uniq[s]] = min(nxt[uniq[s]], min over segment of msg[other[e]])
-   — the connected-components min-label pull.  Labels are 8 bytes, so
-   one prefetch at a longer distance covers the random gather. */
-void segmin_i64(const int64_t *starts, const int64_t *uniq, int64_t nseg,
-                const int64_t *other, int64_t m,
-                const int64_t *msg, int64_t *nxt) {
+   — the connected-components min-label pull over the full (n_msg,)
+   label vector.  Labels are 8 bytes, so one prefetch at a longer
+   distance covers the random gather.  Returns -1 (nothing written) if
+   seg_bad refuses the segments or a source lies outside msg, else 0. */
+int64_t segmin_i64(const int64_t *starts, const int64_t *uniq, int64_t nseg,
+                   const int64_t *other, int64_t m,
+                   const int64_t *msg, int64_t n_msg, int64_t *nxt, int64_t n) {
+    int64_t bad = seg_bad(starts, uniq, nseg, m, n);
+    for (int64_t e = 0; e < m; e++)
+        bad |= (other[e] < 0) | (other[e] >= n_msg);
+    if (bad)
+        return -1;
     for (int64_t s = 0; s < nseg; s++) {
         int64_t a = starts[s];
         int64_t b = (s + 1 < nseg) ? starts[s + 1] : m;
@@ -137,6 +217,7 @@ void segmin_i64(const int64_t *starts, const int64_t *uniq, int64_t nseg,
         }
         nxt[uniq[s]] = lo;
     }
+    return 0;
 }
 
 /* Forward-intersection triangle count: for each oriented edge (u, v)
@@ -190,8 +271,8 @@ int64_t tri_merge(const int64_t *indptr, const int64_t *adj, int64_t n,
 /* Label propagation's weighted max-vote pull.  Row i is one vote of
    weight w[i] for label lab[i] at owned vertex own[i].  A stable
    counting sort buckets the rows by owner, keeping their input order
-   (rows already grouped by owner, as one message chunk without hub
-   votes gives them, are read in place); an open-addressing table then
+   (rows already grouped by owner, as a shard's edge rows without hub
+   votes are, are read in place); an open-addressing table then
    sums each owner's weight per label in that order, and nxt[v] becomes
    the label with the largest sum, a tie going to the smallest label.
    Owners with no rows keep nxt[v].  Returns 0, -1 (nothing written)
@@ -326,8 +407,10 @@ def _secure_dir(path: str) -> bool:
 
 
 _i64p = ctypes.POINTER(ctypes.c_int64)
+_i16p = ctypes.POINTER(ctypes.c_int16)
 _f32p = ctypes.POINTER(ctypes.c_float)
 _f64p = ctypes.POINTER(ctypes.c_double)
+_vpp = ctypes.POINTER(ctypes.c_void_p)
 _I = ctypes.c_int64
 
 
@@ -335,11 +418,11 @@ class _Kernels:
     """Typed ctypes facade over the compiled shared object."""
 
     def __init__(self, lib: ctypes.CDLL):
-        lib.spmm_f32.argtypes = [_i64p, _i64p, _I, _i64p, _f32p, _I, _f32p, _I, _f64p]
-        lib.spmm_f64.argtypes = [_i64p, _i64p, _I, _i64p, _f64p, _I, _f64p, _I, _f64p]
-        lib.segmin_i64.argtypes = [_i64p, _i64p, _I, _i64p, _I, _i64p, _i64p]
+        for fn, wp in ((lib.spmm_f32, _f32p), (lib.spmm_f64, _f64p)):
+            fn.argtypes = [_i64p, _i64p, _I, _i64p, _i16p, wp, _I, _vpp, _i64p, _I, _I, _f64p, _I]
+        lib.segmin_i64.argtypes = [_i64p, _i64p, _I, _i64p, _I, _i64p, _I, _i64p, _I]
         for fn in (lib.spmm_f32, lib.spmm_f64, lib.segmin_i64):
-            fn.restype = None
+            fn.restype = _I
         lib.tri_merge.argtypes = [_i64p, _i64p, _I, _i64p, _i64p, _I, _i64p]
         lib.tri_merge.restype = _I
         lib.lp_vote.argtypes = [_i64p, _i64p, _f64p, _I, _i64p, _I]
@@ -369,42 +452,60 @@ class _Kernels:
         starts: np.ndarray,
         uniq: np.ndarray,
         other: np.ndarray,
+        cid: np.ndarray,
         w: np.ndarray,
-        msg: np.ndarray,
+        msgs,
+        cb: np.ndarray,
         nxt: np.ndarray,
     ) -> None:
-        """nxt[uniq[s], :] += segment-sums of w * msg[other]; dispatches
-        on the message dtype (w must match it; nxt is float64)."""
-        if msg.dtype not in (np.float32, np.float64):
-            raise ValueError(f"msg: expected float32/float64, got {msg.dtype}")
-        for a, dt, name in (
-            (starts, np.int64, "starts"), (uniq, np.int64, "uniq"),
-            (other, np.int64, "other"), (w, msg.dtype, "w"), (msg, msg.dtype, "msg"),
+        """nxt[uniq[s], :] += segment-sums of w[e] * the message row of
+        source vid other[e], read in place as row other[e] - cb[c] of
+        message chunk c = cid[e]; dispatches on the chunks' dtype (w
+        must match it; nxt is float64).  Raises ValueError, with
+        nothing written, on a wrong chunk count, a chunk of the wrong
+        dtype, layout or shape, a segment start out of order, an owner
+        outside nxt or a source row outside its chunk."""
+        msgs = list(msgs)
+        dt = msgs[0].dtype if msgs else None
+        if dt not in (np.float32, np.float64):
+            raise ValueError(f"msg: expected float32/float64 chunks, got {dt}")
+        for a, d, name in (
+            (starts, np.int64, "starts"), (uniq, np.int64, "uniq"), (other, np.int64, "other"),
+            (cid, np.int16, "cid"), (w, dt, "w"), (cb, np.int64, "cb"),
         ):
-            self._check(a, dt, name)
+            self._check(a, d, name)
         self._check(nxt, np.float64, "nxt", writable=True)
-        # cross-array coherence (all O(1)): the C loop trusts these —
+        # cross-array coherence (O(chunks)): the C loop trusts these —
         # a mismatch would read/scatter out of bounds with no exception
-        if msg.ndim != 2 or nxt.ndim != 2:
-            raise ValueError(f"msg/nxt must be 2-D: {msg.shape} / {nxt.shape}")
-        if nxt.shape[1] != msg.shape[1]:
-            raise ValueError(f"column mismatch: nxt {nxt.shape} vs msg {msg.shape}")
+        if len(cb) != len(msgs) + 1:
+            raise ValueError(f"{len(msgs)} message chunks for {len(cb) - 1} chunk bounds")
+        if nxt.ndim != 2:
+            raise ValueError(f"nxt must be 2-D: {nxt.shape}")
+        for c, M in enumerate(msgs):
+            self._check(M, dt, f"msg[{c}]")
+            if M.shape != (cb[c + 1] - cb[c], nxt.shape[1]):
+                raise ValueError(
+                    f"msg[{c}]: shape {M.shape}, chunk [{cb[c]}, {cb[c + 1]}) x {nxt.shape[1]}"
+                )
         if len(starts) != len(uniq):
             raise ValueError(f"starts/uniq length mismatch: {len(starts)} vs {len(uniq)}")
-        if len(w) != len(other):
-            raise ValueError(f"w/other length mismatch: {len(w)} vs {len(other)}")
-        if msg.dtype == np.float32:
-            self._lib.spmm_f32(
-                self._pp(starts, _i64p), self._pp(uniq, _i64p), len(starts),
-                self._pp(other, _i64p), self._pp(w, _f32p), len(other),
-                self._pp(msg, _f32p), msg.shape[1], self._pp(nxt, _f64p),
+        if len(w) != len(other) or len(cid) != len(other):
+            raise ValueError(f"other/cid/w length mismatch: {len(other)} / {len(cid)} / {len(w)}")
+        ptrs = (ctypes.c_void_p * len(msgs))(*[M.ctypes.data for M in msgs])
+        fn, wp = (self._lib.spmm_f32, _f32p) if dt == np.float32 else (self._lib.spmm_f64, _f64p)
+        rc = fn(
+            self._pp(starts, _i64p), self._pp(uniq, _i64p), len(starts),
+            self._pp(other, _i64p), self._pp(cid, _i16p), self._pp(w, wp), len(other),
+            ptrs, self._pp(cb, _i64p), len(msgs),
+            nxt.shape[1], self._pp(nxt, _f64p), nxt.shape[0],
+        )
+        if rc == -1:
+            raise ValueError(
+                f"spmm: segment starts out of order, an owner outside [0, {nxt.shape[0]}) "
+                "or a source row outside its message chunk"
             )
-        else:
-            self._lib.spmm_f64(
-                self._pp(starts, _i64p), self._pp(uniq, _i64p), len(starts),
-                self._pp(other, _i64p), self._pp(w, _f64p), len(other),
-                self._pp(msg, _f64p), msg.shape[1], self._pp(nxt, _f64p),
-            )
+        if rc == -2:
+            raise MemoryError("spmm: scratch allocation failed")
 
     def segmin(
         self,
@@ -414,16 +515,25 @@ class _Kernels:
         msg: np.ndarray,
         nxt: np.ndarray,
     ) -> None:
+        """nxt[uniq[s]] = min(nxt[uniq[s]], min of msg[other] over
+        segment s).  Raises ValueError, with nothing written, on segment
+        starts out of order, an owner outside nxt or a source outside
+        msg."""
         for a, name in ((starts, "starts"), (uniq, "uniq"), (other, "other"), (msg, "msg")):
             self._check(a, np.int64, name)
         self._check(nxt, np.int64, "nxt", writable=True)
         if len(starts) != len(uniq):
             raise ValueError(f"starts/uniq length mismatch: {len(starts)} vs {len(uniq)}")
-        self._lib.segmin_i64(
+        rc = self._lib.segmin_i64(
             self._pp(starts, _i64p), self._pp(uniq, _i64p), len(starts),
             self._pp(other, _i64p), len(other),
-            self._pp(msg, _i64p), self._pp(nxt, _i64p),
+            self._pp(msg, _i64p), len(msg), self._pp(nxt, _i64p), len(nxt),
         )
+        if rc:
+            raise ValueError(
+                f"segmin: segment starts out of order, an owner outside [0, {len(nxt)}) "
+                f"or a source outside [0, {len(msg)})"
+            )
 
     def tri_merge(
         self,

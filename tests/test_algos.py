@@ -538,13 +538,15 @@ def test_native_kernel_parity_with_numpy_path(graph):
 
 
 def test_chunked_messages_match_single_assemble(graph):
-    """The k-chunk message protocol (parallel group assembles +
-    per-chunk kernel passes — csr.GraphShard msg_chunk_bounds) produces
-    the same PPR scores as the single-assembled-matrix path (k=1) at
-    float64 tightness, and identical CC/LP labels.  Chunking only
-    changes per-segment accumulation ORDER (one partial sum per chunk
-    instead of one sequential pass), so any real divergence is a
-    routing bug, not numerics."""
+    """The k-chunk message protocol (parallel group assembles, each
+    chunk read in place — csr.GraphShard msg_chunk_bounds) produces
+    the same PPR scores as the pool without assemblers (k=1, the shard
+    messages read in place), and identical CC/LP labels.  Every shard
+    keeps one (own, source) edge order, so each segment adds the same
+    rows in the same order under any chunk cut: the compiled path is
+    exact, and any divergence is a routing bug, not numerics."""
+    from hipporag_ray.state.native import native
+
     g, _ = graph
     out = {}
     for k in (1, 4):
@@ -567,6 +569,8 @@ def test_chunked_messages_match_single_assemble(graph):
             out[k] = (scores, cc, lp)
         finally:
             sg.shutdown()
+    if native() is not None:
+        np.testing.assert_array_equal(out[1][0], out[4][0])
     np.testing.assert_allclose(out[1][0], out[4][0], rtol=0, atol=1e-12)
     np.testing.assert_array_equal(out[1][1], out[4][1])
     np.testing.assert_array_equal(out[1][2], out[4][2])
@@ -587,7 +591,7 @@ def test_chunked_shard_in_process_matches_oracle(graph):
     shards = [
         GraphShard(g.adj_path, i, bounds, n, msg_chunk_bounds=cb) for i in range(2)
     ]
-    assert all(len(s._chunks) == 3 for s in shards)
+    assert all(len(s._chunk_bounds) == 4 for s in shards)
     sums = [s.ppr_init(1) for s in shards]
     totals = np.sum(sums, axis=0)
     for s in shards:
@@ -1061,7 +1065,7 @@ def _manual_lp(shards, max_iter):
         for s in shards:
             # one chunk: the step merges the P messages; k > 1: it takes
             # the assembled message, as from an assembler actor
-            args = msgs if len(s._chunks) == 1 else (assemble_labels(msgs),)
+            args = msgs if len(s._chunk_bounds) == 2 else (assemble_labels(msgs),)
             outs.append(s.step("lp", *args))
         changed, msgs = zip(*outs)
         if sum(changed) == 0:
@@ -1142,7 +1146,7 @@ def test_lp_kernel_matches_fallback_and_oracle(graph, tmp_path, case):
         assert all((s._kern is not None) == use_native for s in shards)
         if hubs is not None:  # hub votes and chunked rows are exercised
             assert sum(len(s._push[0]) for s in shards) > 0
-            assert all(len(s._chunks) == 2 for s in shards)
+            assert all(len(s._chunk_bounds) == 3 for s in shards)
         return _manual_lp(shards, max_iter)
 
     for max_iter in (1, 50):
@@ -1156,6 +1160,81 @@ def test_lp_kernel_matches_fallback_and_oracle(graph, tmp_path, case):
     if case == "isolated":
         iso = np.arange(0, n, 3)
         np.testing.assert_array_equal(fast[iso], iso)
+
+
+def test_spmm_segmin_guards():
+    """``_Kernels.spmm`` reads its message chunks in place and refuses a
+    wrong chunk count, a chunk message of the wrong dtype, layout or
+    shape, a source row outside its chunk and an owner outside ``nxt``;
+    ``segmin`` refuses a source outside its label vector and an owner
+    outside ``nxt``.  A refused call leaves ``nxt`` as it was."""
+    from hipporag_ray.state.native import native
+
+    kern = native()
+    if kern is None:
+        pytest.skip("no C compiler available — numpy fallback only")
+    # 2 owners; owner 0 pulls vids 1, 3, 4, owner 1 pulls vid 0
+    starts = np.array([0, 3], np.int64)
+    uniq = np.array([0, 1], np.int64)
+    other = np.array([1, 3, 4, 0], np.int64)
+    cid = np.array([0, 1, 1, 0], np.int16)
+    w = np.array([1.0, 2.0, 4.0, 8.0], np.float32)
+    full = np.arange(10, dtype=np.float32).reshape(5, 2)
+    cb = np.array([0, 2, 5], np.int64)
+    chunks = [full[:2], full[2:]]
+    nxt = np.zeros((2, 2))
+    kern.spmm(starts, uniq, other, cid, w, chunks, cb, nxt)
+    want = np.zeros((2, 2))
+    for o, v, we in ((0, 1, 1.0), (0, 3, 2.0), (0, 4, 4.0), (1, 0, 8.0)):
+        want[o] += we * full[v]
+    np.testing.assert_array_equal(nxt, want)
+    one = np.zeros((2, 2))
+    kern.spmm(starts, uniq, other, np.zeros(4, np.int16), w, [full], np.array([0, 5], np.int64), one)
+    np.testing.assert_array_equal(one, want)
+
+    def refused(**kw):
+        args = dict(starts=starts, uniq=uniq, other=other, cid=cid, w=w, msgs=chunks, cb=cb)
+        args.update(kw)
+        got = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            kern.spmm(args["starts"], args["uniq"], args["other"], args["cid"], args["w"],
+                      args["msgs"], args["cb"], got)
+        assert not got.any()
+
+    refused(msgs=chunks[:1])  # chunk count
+    refused(msgs=[full[:2], full[2:], full[:0]])  # chunk count
+    refused(msgs=[full[:2].astype(np.float64), full[2:]])  # chunk dtype
+    refused(msgs=[full[:2], np.asfortranarray(full[2:])])  # chunk layout
+    refused(msgs=[full[:3], full[3:]])  # chunk rows != its bounds
+    refused(msgs=[full[:2, :1].copy(), full[2:, :1].copy()])  # columns != nxt
+    for bad in (-1, 5):  # a source row outside the chunks
+        refused(other=np.array([1, 3, bad, 0], np.int64))
+    refused(other=np.array([1, 3, 4, 2], np.int64))  # vid 2 is not in chunk 0
+    for bad in (-1, 2):  # a chunk id outside the chunks
+        refused(cid=np.array([0, 1, bad, 0], np.int16))
+    refused(cid=cid.astype(np.int32))  # chunk id dtype
+    for bad in (-1, 2):  # an owner outside nxt
+        refused(uniq=np.array([0, bad], np.int64))
+    refused(starts=np.array([0, 5], np.int64))  # a start past the edges
+    refused(starts=np.array([3, 0], np.int64))  # starts out of order
+    ro = np.zeros((2, 2))
+    ro.flags.writeable = False
+    with pytest.raises(ValueError):
+        kern.spmm(starts, uniq, other, cid, w, chunks, cb, ro)
+
+    lab = np.array([4, 3, 2, 1, 0], np.int64)
+    got = np.array([9, 9], np.int64)
+    kern.segmin(starts, uniq, other, lab, got)
+    assert got.tolist() == [0, 4]
+    for kw in (dict(other=np.array([1, 3, 5, 0], np.int64)),
+               dict(other=np.array([1, 3, -1, 0], np.int64)),
+               dict(uniq=np.array([0, 2], np.int64))):
+        a = dict(starts=starts, uniq=uniq, other=other)
+        a.update(kw)
+        got = np.array([9, 9], np.int64)
+        with pytest.raises(ValueError):
+            kern.segmin(a["starts"], a["uniq"], a["other"], lab, got)
+        assert got.tolist() == [9, 9]
 
 
 def test_lp_vote_guards():

@@ -445,6 +445,46 @@ def test_incremental_index_runs_few_ray_data_executions(ray_session, tmp_path, m
         eng.close()
 
 
+def test_engine_delete_runs_few_ray_data_executions(ray_session, tmp_path, monkeypatch):
+    """A 50-turn engine delete() from a 1,000-turn engine runs at most 6
+    Ray Data executions, all of them the graph delete's: the stale
+    entity-store rows are found by probing the keys the deleted texts
+    mention, not by a join of the whole store against the vertex table
+    (which made it 9).  The entity store then holds exactly the live
+    entity vertices."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from hipporag_ray.pipelines.retrieval import HippoRagEngine
+
+    tbl = _engine_turns(
+        tmp_path, n_convs=120, turns_per_conv=10, vocab=2000,
+        entities_per_turn=8, zipf_a=1.3, seed=7,
+    )
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *a, **k):
+        calls.append(1)
+        return execute(self, *a, **k)
+
+    eng = HippoRagEngine(str(tmp_path / "wd"))
+    try:
+        eng.index(rd.from_arrow(tbl.slice(0, 1000)))
+        stored_before = eng.entity_store.dataset().count()
+        monkeypatch.setattr(StreamingExecutor, "execute", counted)
+        eng.delete(tbl.slice(100, 50)["text"].to_pylist() + ["a turn that was never indexed"])
+        assert len(calls) <= 6, f"{len(calls)} Ray Data executions"
+        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+        verts = pads.dataset(eng.graph().vertex_parts).to_table(columns=["node_key", "kind"])
+        live = set(verts.filter(pc.equal(verts["kind"], "entity"))["node_key"].to_pylist())
+        stored = set(eng.entity_store.dataset().to_pandas()["hash_id"])
+        assert stored == live and len(stored) < stored_before
+    finally:
+        eng.close()
+
+
 def test_delete_runs_few_ray_data_executions(ray_session, tmp_path, monkeypatch):
     """A 50-turn delete (plus one never-indexed text) from a 1,000-turn
     graph runs at most 6 Ray Data executions: the edge merge, the
