@@ -16,7 +16,8 @@ Semantics contracts:
   label; exact (component id = min member vid).
 * ``label_propagation`` — synchronous weighted max-vote, tie-break
   smallest label, capped iterations.
-* ``coreness`` — synchronous h-index iteration to the core numbers.
+* ``coreness`` — synchronous h-index iteration to the core numbers;
+  ``kcore_members`` reads the k-core off it (coreness >= k).
 
 Checkpoint/resume: with ``checkpoint_dir`` set, every
 ``checkpoint_every`` iterations each shard writes its state partition
@@ -58,6 +59,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
@@ -178,6 +180,25 @@ def labels_dataset(sg: ShardedGraph, col: str = "component"):
     refs = [a.labels_table.remote(col) for a in sg.actors]
     ray.wait(refs, num_returns=len(refs))
     return rd.from_arrow_refs(refs)
+
+
+def topk_chunks(sg: ShardedGraph, query_idxs, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Two-level top-k chunk readback of the pool's PPR scores: one
+    ``topk_chunk_scores_batch`` call per shard (P x k rows per query,
+    never the (n,) score vector), merged on the driver by (score desc,
+    vid asc).  Returns one (vids, scores) pair per entry of
+    ``query_idxs``.  The shards' kind flags must be loaded
+    (``GraphShard.load_kinds``)."""
+    qidx = np.asarray(query_idxs, dtype=np.int64)
+    parts = ray.get([a.topk_chunk_scores_batch.remote(qidx, k) for a in sg.actors])
+    all_q, all_v, all_s = (np.concatenate(x) for x in zip(*parts))
+    out = []
+    for qi in qidx:
+        m = all_q == qi
+        vids, scs = all_v[m], all_s[m]
+        order = np.lexsort((vids, -scs))[:k]
+        out.append((vids[order], scs[order]))
+    return out
 
 
 class _Checkpointer:
@@ -653,3 +674,25 @@ def coreness(
     on adjacency with parallel records and self-loops."""
     prog = _Labels(sg, "coreness", "coreness", max_iter)
     return _superstep(sg, prog, max_iter, checkpoint_dir, checkpoint_every, resume, collect)
+
+
+def kcore_members(sg: ShardedGraph, k: int, max_iter: int = 200):
+    """The (vid) Dataset of the k-core: v is in the k-core exactly when
+    coreness(v) >= k, so this is a read of ``coreness`` on the pool
+    (isolated vertices have coreness 0 and are never in it for k >= 1).
+    Raises ``RuntimeError`` when the iteration still changed a value in
+    its last wave at ``max_iter``: the values only decrease, so an
+    unconverged read would be a superset of the core."""
+    if k < 1:
+        raise ValueError("k-core requires k >= 1")
+    _, metrics = coreness(sg, max_iter=max_iter, collect=False)
+    if not metrics or metrics[-1]["changed"] > 0:
+        raise RuntimeError(
+            f"coreness did not converge in max_iter={max_iter} waves "
+            "(its last wave still changed values); raise max_iter"
+        )
+
+    def members(b: pa.Table) -> pa.Table:
+        return b.filter(pc.greater_equal(b["coreness"], pa.scalar(k, pa.int64()))).select(["vid"])
+
+    return labels_dataset(sg, "coreness").map_batches(members, batch_format="pyarrow")

@@ -2079,43 +2079,55 @@ _KCORE_K = 2
 _KCORE_FRAC = 0.66  # edge kept iff co-occurrence weight >= frac * n_docs
 
 
-def q_doc_kcore(sf_dir: str):
-    """k-core membership (algos/kcore.py: distributed iterative
-    peeling — per round one degree exchange + two leftsemi bucketed
-    joins, only scalar counts on the driver) over the STRONG
-    co-occurrence graph: token pairs kept iff they co-occur in at
-    least ``_KCORE_FRAC`` of the docs (the unthresholded token graph
-    is complete at bench scale, which would make any k < n trivial).
-    Reference analog: none — extends the link-graph algo family."""
-    from ..algos.kcore import kcore_members
+def _doc_core_named(sf_dir: str, k: int, cols: tuple[str, ...]):
+    """The ``cols`` of (entity, coreness) for the vertices with coreness
+    >= ``k`` (k >= 1) over the STRONG co-occurrence graph: token pairs
+    kept iff they co-occur in at least ``_KCORE_FRAC`` of the docs (the
+    unthresholded token graph is complete at bench scale, which would
+    make any k < n trivial).  One coreness run on the shard pool, named
+    through one bucketed join."""
+    from ..algos.iterate import coreness, labels_dataset
+    from ..stages.shuffle import hash_join
+    from ..state.csr import ShardedGraph
 
-    n_docs = _docs(sf_dir, ["doc_id"]).count()
-    thresh = _KCORE_FRAC * n_docs
-    pairs = q_doc_cooccur(sf_dir)
-
-    def both_dirs(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.greater_equal(b["weight"], pa.scalar(thresh)))
-        return pa.table(
-            {
-                "src": pa.concat_arrays(
-                    [b["src"].combine_chunks(), b["dst"].combine_chunks()]
-                ),
-                "dst": pa.concat_arrays(
-                    [b["dst"].combine_chunks(), b["src"].combine_chunks()]
-                ),
-            }
-        )
-
-    edges = pairs.map_batches(both_dirs, batch_format="pyarrow")
-    core = kcore_members(edges, _KCORE_K)
-    if core.count() == 0:
-        # schema-stable empty result as a plain Arrow table — an
-        # all-empty Dataset's to_pandas drops the schema (even via
-        # from_arrow), failing the driver's column compare
-        return pa.table({"entity": pa.array([], pa.string())})
-    return core.map_batches(
-        lambda b: pa.table({"entity": b["src"]}), batch_format="pyarrow"
+    types = {"entity": pa.string(), "coreness": pa.int64()}
+    schema = {c: types[c] for c in cols}
+    d, n = doc_graph_for(sf_dir, weight_frac=_KCORE_FRAC)
+    adj_dir = os.path.join(d, "adj")
+    empty = not os.path.isdir(adj_dir) or not any(
+        f.name.endswith(".parquet") for f in os.scandir(adj_dir)
     )
+    if empty or rd.read_parquet(adj_dir).count() == 0:
+        # a plain Arrow table: an all-empty Dataset's to_pandas drops
+        # the schema (even via from_arrow), failing the column compare
+        return pa.table({c: pa.array([], t) for c, t in schema.items()})
+    sg = ShardedGraph(adj_dir, n)
+    try:
+        coreness(sg, collect=False)
+        lab = labels_dataset(sg, "coreness")
+    finally:
+        sg.shutdown()
+    core = lab.map_batches(
+        lambda b: b.filter(pc.greater_equal(b["coreness"], pa.scalar(k, pa.int64()))),
+        batch_format="pyarrow",
+    )
+
+    def fin(b: pa.Table) -> pa.Table:
+        e = _empty_or(b, ("entity", "coreness"), schema)
+        return b.select(list(cols)) if e is None else e
+
+    return hash_join(core, _doc_vertex_names(d), "vid").map_batches(
+        fin, batch_format="pyarrow"
+    )
+
+
+def q_doc_kcore(sf_dir: str):
+    """k-core membership over the STRONG co-occurrence graph: v is in
+    the k-core exactly when coreness(v) >= k, so this reads the
+    ★`doc_coreness` pool run (``_doc_core_named``) at k = ``_KCORE_K``;
+    the SQL twin peels.  Reference analog: none — extends the
+    link-graph algo family."""
+    return _doc_core_named(sf_dir, _KCORE_K, ("entity",))
 
 
 def q_doc_coreness(sf_dir: str):
@@ -2126,44 +2138,7 @@ def q_doc_coreness(sf_dir: str):
     run-length COO partials).  Output = (entity, coreness) for
     vertices in the thresholded edge set (coreness >= 1); SQL twin is
     the chained h-index CTE.  Reference analog: none."""
-    from ..algos.iterate import coreness, labels_dataset
-    from ..stages.shuffle import hash_join
-    from ..state.csr import ShardedGraph
-
-    d, n = doc_graph_for(sf_dir, weight_frac=_KCORE_FRAC)
-    adj_dir = os.path.join(d, "adj")
-    empty = not os.path.isdir(adj_dir) or not any(
-        f.name.endswith(".parquet") for f in os.scandir(adj_dir)
-    )
-    if empty or rd.read_parquet(adj_dir).count() == 0:
-        return pa.table(
-            {
-                "entity": pa.array([], pa.string()),
-                "coreness": pa.array([], pa.int64()),
-            }
-        )
-    sg = ShardedGraph(adj_dir, n)
-    try:
-        coreness(sg, collect=False)
-        lab = labels_dataset(sg, "coreness")
-    finally:
-        sg.shutdown()
-    core = lab.map_batches(
-        lambda b: b.filter(pc.greater(b["coreness"], pa.scalar(0, pa.int64()))),
-        batch_format="pyarrow",
-    )
-
-    def fin(b: pa.Table) -> pa.Table:
-        e = _empty_or(
-            b, ("entity", "coreness"), {"entity": pa.string(), "coreness": pa.int64()}
-        )
-        if e is not None:
-            return e
-        return pa.table({"entity": b["entity"], "coreness": b["coreness"]})
-
-    return hash_join(core, _doc_vertex_names(d), "vid").map_batches(
-        fin, batch_format="pyarrow"
-    )
+    return _doc_core_named(sf_dir, 1, ("entity", "coreness"))
 
 
 def q_doc_sample(sf_dir: str):
@@ -2305,7 +2280,7 @@ def q_tx_pagerank(sf_dir: str):
 def q_tx_ppr(sf_dir: str):
     """HippoRAG's retrieval primitive: PPR from the 5 highest-degree
     entities, top-200 chunk ranking (K3/K7 semantics)."""
-    from ..algos.iterate import personalized_pagerank
+    from ..algos.iterate import personalized_pagerank, topk_chunks
     from ..state.csr import ShardedGraph
 
     import ray
@@ -2358,18 +2333,11 @@ def q_tx_ppr(sf_dir: str):
         personalized_pagerank(
             sg, resets=[(seeds, np.ones(len(seeds)))], n_queries=1, collect=False
         )
-        # two-level top-k (K6): per-shard top-200 chunk partials, merged
-        # on the driver — P×200 rows, never the (n,) score vector
         ray.get([a.load_kinds.remote(g.vertex_parts) for a in sg.actors])
-        parts = ray.get([a.topk_chunk_scores_batch.remote([0], 200) for a in sg.actors])
+        ((vids, scs),) = topk_chunks(sg, [0], 200)
     finally:
         sg.shutdown()
-    vids = np.concatenate([p[1] for p in parts])
-    scs = np.concatenate([p[2] for p in parts])
-    order = np.lexsort((vids, -scs))[:200]
-    return pd.DataFrame(
-        {"vid": vids[order], "score": np.round(scs[order], 9)}
-    ).reset_index(drop=True)
+    return pd.DataFrame({"vid": vids, "score": np.round(scs, 9)})
 
 
 def q_tx_cc(sf_dir: str):
@@ -2434,7 +2402,7 @@ def q_tx_eval_recall(sf_dir: str):
     """End-to-end retrieval evaluation (A7): for 8 seed entities, gold
     = chunks containing the entity (passage edges); prediction = PPR
     top-k chunks from that entity; report recall@k."""
-    from ..algos.iterate import personalized_pagerank
+    from ..algos.iterate import personalized_pagerank, topk_chunks
     from ..stages.evalops import recall_at_k
     from ..state.csr import ShardedGraph
 
@@ -2500,24 +2468,13 @@ def q_tx_eval_recall(sf_dir: str):
             n_queries=len(seeds),
             collect=False,
         )
-        # two-level top-k prediction readback (P×50 rows/query), one
-        # batched RPC per shard instead of one per (query, shard)
         ray.get([a.load_kinds.remote(g.vertex_parts) for a in sg.actors])
-        qidx = np.arange(len(seeds), dtype=np.int64)
-        parts = ray.get(
-            [a.topk_chunk_scores_batch.remote(qidx, 50) for a in sg.actors]
-        )
+        tops = topk_chunks(sg, range(len(seeds)), 50)
     finally:
         sg.shutdown()
-    all_q = np.concatenate([p[0] for p in parts])
-    all_v = np.concatenate([p[1] for p in parts])
-    all_s = np.concatenate([p[2] for p in parts])
-    rows = []
-    for qi, s in enumerate(seeds):
-        m = all_q == qi
-        vids, scs = all_v[m], all_s[m]
-        order = np.lexsort((vids, -scs))[:50]
-        rows.append({"pred": vids[order].tolist(), "gold": by_ent[s]})
+    rows = [
+        {"pred": vids.tolist(), "gold": by_ent[s]} for s, (vids, _) in zip(seeds, tops)
+    ]
     out = recall_at_k(rd.from_items(rows), ks=(1, 10, 50))
     return pd.DataFrame({k: [_round_half(v)] for k, v in out.items()})
 

@@ -56,7 +56,7 @@ import ray.data as rd
 
 from ..functions.hashing import md5_hex
 from ..functions.text import text_processing
-from ..algos.iterate import personalized_pagerank
+from ..algos.iterate import personalized_pagerank, topk_chunks
 from ..stages.similarity import topk_tie_rows
 from ..stages.graph_build import ChunkToVertexRows, _to_chunk_rows, build_graph, graph_config, load_graph
 from ..state.csr import ShardedGraph
@@ -1276,20 +1276,7 @@ class HippoRagEngine:
             if not self._kinds_loaded:
                 ray.get([a.load_kinds.remote(g.vertex_parts) for a in sg.actors])
                 self._kinds_loaded = True
-            # one batched call per shard (not one per (query, shard) —
-            # a 32-query retrieve over P shards was 32 x P control RPCs)
-            nf_arr = np.asarray(non_fallback, dtype=np.int64)
-            parts = ray.get(
-                [a.topk_chunk_scores_batch.remote(nf_arr, top_k) for a in sg.actors]
-            )
-            all_q = np.concatenate([p[0] for p in parts])
-            all_v = np.concatenate([p[1] for p in parts])
-            all_s = np.concatenate([p[2] for p in parts])
-            for qi in non_fallback:
-                m = all_q == qi
-                vids, scs = all_v[m], all_s[m]
-                order = np.lexsort((vids, -scs))[:top_k]
-                shard_tops[qi] = (vids[order], scs[order])
+            shard_tops = dict(zip(non_fallback, topk_chunks(sg, non_fallback, top_k)))
         # fallback queries get pure DPR ranking (HippoRAG.py:417-419)
         dpr_ranks = (
             self._dpr_topk(q_ref, sorted(fallback), top_k)

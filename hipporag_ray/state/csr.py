@@ -639,20 +639,26 @@ class GraphShard:
     def lp_pull(self, *msgs) -> int:
         """Weighted max-vote: every owned vertex adopts the label with
         the largest summed weight over its vote rows (the edge rows,
-        owner-grouped and labelled from the merged label vector, then
-        the owned hubs' vote partials), a tie going to the smallest
-        label; a vertex with no rows keeps its label.  With the compiled
-        kernels one ``lp_vote`` pass buckets the rows by owner (stable
-        counting sort) and tallies each owner's labels in a hash table,
-        summing in row order as ``lp_oracle`` does.  The numpy fallback
-        groups by two lexsorts and sums with ``np.add.reduceat``, whose
-        pairwise order can differ in the last bit; both pick the same
-        labels unless two sums tie within rounding."""
+        owner-grouped and labelled from the merged label vector; an
+        owned hub's rows are its vote partials, in shard order), a tie
+        going to the smallest label; a vertex with no rows keeps its
+        label.  An owned hub has no edge rows (its own-side rows are
+        dropped at load), so its partials are inserted at its place in
+        the owner order and every owner's rows stay one run.  With the
+        compiled kernels one ``lp_vote`` pass tallies each run's labels
+        in a hash table, summing in row order as ``lp_oracle`` does.
+        The numpy fallback groups by two lexsorts and sums with
+        ``np.add.reduceat``, whose pairwise order can differ in the
+        last bit; both pick the same labels unless two sums tie within
+        rounding."""
         global_lab, vote_parts = assemble_labels(msgs)
         own_c, lab_c, w_c = self._gown, global_lab[self._gother], self._gw
         if len(self._hub_owned_idx):
+            h_own, h_lab, h_w = self._owned_hub_rows(vote_parts)
+            o = np.argsort(h_own, kind="stable")
+            at = np.searchsorted(own_c, h_own[o])
             own_c, lab_c, w_c = (
-                np.concatenate(p) for p in zip((own_c, lab_c, w_c), self._owned_hub_rows(vote_parts))
+                np.insert(a, at, h[o]) for a, h in ((own_c, h_own), (lab_c, h_lab), (w_c, h_w))
             )
         nxt = self.labels.copy()
         if len(own_c):
@@ -983,6 +989,9 @@ GraphShardActor = ray.remote(GraphShard)
 # vertex-dense vid ranges across shards instead.
 VERTEX_EDGE_COST = 48
 
+# at most this many hubs (the highest degrees above the hub threshold)
+_MAX_HUBS = 1024
+
 
 def _hub_cap(total_rows: int, n_shards: int, hub_min_degree: int | None) -> int:
     """Hub-degree threshold — ONE definition for both the exact and the
@@ -997,7 +1006,6 @@ def _bounds_from_rowgroup_stats(
     n_vertices: int,
     n_shards: int,
     hub_min_degree: int | None,
-    max_hubs: int,
     file_metas: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Shard bounds + hub list from parquet ROW-GROUP STATISTICS only —
@@ -1051,8 +1059,8 @@ def _bounds_from_rowgroup_stats(
         vids, inv = np.unique(mins[single], return_inverse=True)
         deg = np.bincount(inv, weights=rows[single])
         hub_ids = vids[deg > cap]
-        if len(hub_ids) > max_hubs:
-            hub_ids = hub_ids[np.argsort(-deg[deg > cap], kind="stable")[:max_hubs]]
+        if len(hub_ids) > _MAX_HUBS:
+            hub_ids = hub_ids[np.argsort(-deg[deg > cap], kind="stable")[:_MAX_HUBS]]
         hubs = np.sort(hub_ids).astype(np.int64)
 
     if n_shards <= 1:
@@ -1094,13 +1102,12 @@ def edge_balanced_bounds(
     n_vertices: int,
     n_shards: int,
     hub_min_degree: int | None = None,
-    max_hubs: int = 1024,
     stats_min_rows: int = _STATS_BOUNDS_MIN_ROWS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shard boundaries at edge-count quantiles of the src-sorted
     adjacency (snapped to vertex boundaries), plus the hub-vertex list
     (degree above the threshold — default max(4096, 2·E/P), or the
-    explicit ``hub_min_degree``; top ``max_hubs``) whose incoming
+    explicit ``hub_min_degree``; top ``_MAX_HUBS``) whose incoming
     reductions are salted across all shards.
 
     Small inputs read only the ``src`` column (int64, exact quantiles);
@@ -1119,7 +1126,6 @@ def edge_balanced_bounds(
             n_vertices,
             n_shards,
             hub_min_degree,
-            max_hubs,
             file_metas=file_metas,
         )
         if got is not None:
@@ -1132,8 +1138,8 @@ def edge_balanced_bounds(
     deg = np.bincount(src.astype(np.int64), minlength=n_vertices)
     cap = _hub_cap(len(src), n_shards, hub_min_degree)
     hub_ids = np.nonzero(deg > cap)[0]
-    if len(hub_ids) > max_hubs:
-        hub_ids = hub_ids[np.argsort(-deg[hub_ids], kind="stable")[:max_hubs]]
+    if len(hub_ids) > _MAX_HUBS:
+        hub_ids = hub_ids[np.argsort(-deg[hub_ids], kind="stable")[:_MAX_HUBS]]
     hubs = np.sort(hub_ids).astype(np.int64)
     if n_shards <= 1:
         return np.array([0, n_vertices], dtype=np.int64), hubs
@@ -1176,7 +1182,6 @@ class ShardedGraph:
         n_shards: int | None = None,
         min_shard_size: int = 1024,
         hub_min_degree: int | None = None,
-        max_hubs: int = 1024,
         precise: bool = False,
         bounds_stats_min_rows: int | None = None,
         msg_chunks: int | None = None,
@@ -1185,7 +1190,6 @@ class ShardedGraph:
             n_shards=n_shards,
             min_shard_size=min_shard_size,
             hub_min_degree=hub_min_degree,
-            max_hubs=max_hubs,
             precise=precise,
             bounds_stats_min_rows=bounds_stats_min_rows,
             msg_chunks=msg_chunks,
@@ -1246,7 +1250,7 @@ class ShardedGraph:
             else {}
         )
         self.bounds, self.hubs = edge_balanced_bounds(
-            adj_path, n_vertices, n_shards, o["hub_min_degree"], o["max_hubs"], **bounds_kw
+            adj_path, n_vertices, n_shards, o["hub_min_degree"], **bounds_kw
         )
         n_shards = len(self.bounds) - 1
         self.n_vertices = n_vertices

@@ -26,9 +26,9 @@ Kernels in the one compiled source:
 * ``tri_merge`` — triangle counting's per-edge merge intersection of
   the two vid-sorted forward lists (``algos/triangles.py``), replacing
   a numpy wedge expansion plus a binary search per wedge;
-* ``lp_vote`` — the label-propagation max-vote pull: a stable counting
-  sort of the vote rows by owner, then one open-addressing label tally
-  per owner, replacing two lexsorts over the shard's rows per wave.
+* ``lp_vote`` — the label-propagation max-vote pull: one
+  open-addressing label tally per owner over vote rows grouped by
+  owner, replacing two lexsorts over the shard's rows per wave.
 
 Every kernel checks its index ranges in C before it writes anything,
 so a bad index raises ``ValueError`` instead of reading or writing out
@@ -269,58 +269,27 @@ int64_t tri_merge(const int64_t *indptr, const int64_t *adj, int64_t n,
 }
 
 /* Label propagation's weighted max-vote pull.  Row i is one vote of
-   weight w[i] for label lab[i] at owned vertex own[i].  A stable
-   counting sort buckets the rows by owner, keeping their input order
-   (rows already grouped by owner, as a shard's edge rows without hub
-   votes are, are read in place); an open-addressing table then
-   sums each owner's weight per label in that order, and nxt[v] becomes
-   the label with the largest sum, a tie going to the smallest label.
-   Owners with no rows keep nxt[v].  Returns 0, -1 (nothing written)
-   if an owner is outside [0, n), or -2 if a scratch allocation failed. */
+   weight w[i] for label lab[i] at owned vertex own[i]; the rows come
+   grouped by owner (own non-decreasing), one run per owner.  An
+   open-addressing table sums each run's weight per label in row
+   order, and nxt[v] becomes the label with the largest sum, a tie
+   going to the smallest label.  Owners with no rows keep nxt[v].
+   Returns 0, -1 (nothing written) if an owner is outside [0, n) or
+   the rows are not grouped by owner, or -2 if a scratch allocation
+   failed. */
 int64_t lp_vote(const int64_t *own, const int64_t *lab, const double *w,
                 int64_t m, int64_t *nxt, int64_t n) {
-    int grouped = 1;
-    for (int64_t i = 0; i < m; i++) {
-        if (own[i] < 0 || own[i] >= n)
+    int64_t maxg = 0;
+    for (int64_t i = 0, a = 0; i < m; i++) {
+        if (own[i] < 0 || own[i] >= n || (i > 0 && own[i] < own[i - 1]))
             return -1;
-        if (i > 0 && own[i] < own[i - 1])
-            grouped = 0;
+        if (i + 1 == m || own[i + 1] != own[i]) {
+            if (i + 1 - a > maxg) maxg = i + 1 - a;
+            a = i + 1;
+        }
     }
     if (m == 0)
         return 0;
-    /* owner v's rows are [end[v], end[v + 1]) */
-    int64_t *end = calloc((size_t)n + 1, sizeof(int64_t));
-    if (!end)
-        return -2;
-    for (int64_t i = 0; i < m; i++)
-        end[own[i] + 1]++;
-    int64_t maxg = 0;
-    for (int64_t v = 0; v < n; v++) {
-        if (end[v + 1] > maxg) maxg = end[v + 1];
-        end[v + 1] += end[v];
-    }
-    const int64_t *bl = lab;
-    const double *bw = w;
-    int64_t *lab2 = NULL, *cur = NULL;
-    double *w2 = NULL;
-    if (!grouped) {
-        lab2 = malloc((size_t)m * sizeof(int64_t));
-        w2 = malloc((size_t)m * sizeof(double));
-        cur = malloc((size_t)n * sizeof(int64_t));
-        if (!lab2 || !w2 || !cur) {
-            free(end); free(lab2); free(w2); free(cur);
-            return -2;
-        }
-        for (int64_t v = 0; v < n; v++)
-            cur[v] = end[v];
-        for (int64_t i = 0; i < m; i++) {
-            int64_t r = cur[own[i]]++;
-            lab2[r] = lab[i];
-            w2[r] = w[i];
-        }
-        bl = lab2;
-        bw = w2;
-    }
     int64_t cap = 2;
     while (cap < 2 * maxg) cap <<= 1;
     int64_t *key = malloc((size_t)cap * sizeof(int64_t));
@@ -328,35 +297,34 @@ int64_t lp_vote(const int64_t *own, const int64_t *lab, const double *w,
     int64_t *stamp = calloc((size_t)cap, sizeof(int64_t));
     int64_t *used = malloc((size_t)maxg * sizeof(int64_t));
     if (!key || !sum || !stamp || !used) {
-        free(end); free(lab2); free(w2); free(cur);
         free(key); free(sum); free(stamp); free(used);
         return -2;
     }
-    for (int64_t v = 0; v < n; v++) {
-        int64_t a = end[v], b = end[v + 1];
+    for (int64_t a = 0, b, gen = 1; a < m; a = b, gen++) {
+        int64_t v = own[a];
+        for (b = a + 1; b < m && own[b] == v; b++)
+            ;
         if (b - a == 1) {
-            nxt[v] = bl[a];
+            nxt[v] = lab[a];
             continue;
         }
-        if (b == a)
-            continue;
         /* a table of 2^bits >= 2 x rows slots; Fibonacci hashing takes
            the product's top bits */
         int bits = 1;
         while ((1LL << bits) < 2 * (b - a)) bits++;
         uint64_t mask = (1ULL << bits) - 1;
-        int64_t nu = 0, gen = v + 1;
+        int64_t nu = 0;
         for (int64_t r = a; r < b; r++) {
-            int64_t l = bl[r];
+            int64_t l = lab[r];
             uint64_t h = ((uint64_t)l * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
             while (stamp[h] == gen && key[h] != l)
                 h = (h + 1) & mask;
             if (stamp[h] == gen) {
-                sum[h] += bw[r];
+                sum[h] += w[r];
             } else {
                 stamp[h] = gen;
                 key[h] = l;
-                sum[h] = bw[r];
+                sum[h] = w[r];
                 used[nu++] = (int64_t)h;
             }
         }
@@ -372,7 +340,6 @@ int64_t lp_vote(const int64_t *own, const int64_t *lab, const double *w,
         }
         nxt[v] = best;
     }
-    free(end); free(lab2); free(w2); free(cur);
     free(key); free(sum); free(stamp); free(used);
     return 0;
 }
@@ -570,7 +537,8 @@ class _Kernels:
         """Weighted max-vote per owner: ``nxt[v]`` becomes the label with
         the largest float64 sum of ``w`` over the rows with ``own == v``
         and that label (summed in input order; a tie goes to the smallest
-        label).  Vertices with no rows keep ``nxt[v]``."""
+        label).  The rows must be grouped by owner (``own``
+        non-decreasing).  Vertices with no rows keep ``nxt[v]``."""
         for a, dt, name in ((own, np.int64, "own"), (lab, np.int64, "lab"), (w, np.float64, "w")):
             self._check(a, dt, name)
         self._check(nxt, np.int64, "nxt", writable=True)
@@ -585,7 +553,9 @@ class _Kernels:
             self._pp(nxt, _i64p), len(nxt),
         )
         if rc == -1:
-            raise ValueError(f"lp_vote: an owner outside [0, {len(nxt)})")
+            raise ValueError(
+                f"lp_vote: an owner outside [0, {len(nxt)}) or rows not grouped by owner"
+            )
         if rc == -2:
             raise MemoryError("lp_vote: scratch allocation failed")
 

@@ -640,36 +640,69 @@ def test_step_timers_count_every_kind(graph):
         sg.shutdown()
 
 
-def test_kcore_members_vs_peeling_oracle():
-    """Distributed iterative peeling (algos/kcore.py) == single-process
-    peeling oracle on random sparse graphs across several k, including
-    a long path (multi-round peel) and k larger than any coreness
-    (empty core)."""
-    from hipporag_ray.algos.kcore import kcore_members
-    from hipporag_ray.algos.oracle import kcore_oracle
-
+def _kcore_graph(tmp_path):
+    """Random sparse edges plus a path tail (peels one layer per round
+    for k=2), written as a src-sorted adjacency of distinct directed
+    records (the symmetric-adjacency contract).  Returns (adj_dir,
+    n_vertices, src, dst)."""
     rng = np.random.default_rng(11)
     n = 60
     a = rng.integers(0, n, 300)
     b = rng.integers(0, n, 300)
     keep = a != b
     a, b = a[keep], b[keep]
-    # append a path graph tail (peels one layer per round for k=2)
     pa_, pb_ = np.arange(n, n + 12), np.arange(n + 1, n + 13)
     src = np.concatenate([a, b, pa_, pb_])
     dst = np.concatenate([b, a, pb_, pa_])
     n_tot = n + 13
-    # distinct directed records (symmetric-adjacency contract)
     uniq = np.unique(src * n_tot + dst)
     src_u, dst_u = uniq // n_tot, uniq % n_tot
-    edges = rd.from_arrow(
-        pa.table({"src": pa.array(src_u, pa.int64()), "dst": pa.array(dst_u, pa.int64())})
+    adj_dir = tmp_path / "adj"
+    os.makedirs(adj_dir)
+    pq.write_table(
+        pa.table({"src": src_u, "dst": dst_u, "weight": np.ones(len(src_u))}),
+        str(adj_dir / "part-0.parquet"),
     )
-    for k in (2, 3, 5, 40):
-        got = kcore_members(edges, k).to_pandas()
-        got_set = set(got["src"].tolist()) if len(got) else set()
-        want = set(np.nonzero(kcore_oracle(n_tot, src_u, dst_u, k))[0].tolist())
-        assert got_set == want, (k, got_set ^ want)
+    return str(adj_dir), n_tot, src_u, dst_u
+
+
+def test_kcore_members_vs_peeling_oracle(tmp_path):
+    """k-core membership read off the pool's coreness (coreness >= k) ==
+    single-process peeling oracle on random sparse graphs across several
+    k, including a long path (multi-round peel) and k larger than any
+    coreness (empty core), at 1 and 3 shards and on a hub-salted pool."""
+    from hipporag_ray.algos.iterate import kcore_members
+    from hipporag_ray.algos.oracle import kcore_oracle
+
+    adj_dir, n_tot, src_u, dst_u = _kcore_graph(tmp_path)
+    hub_min = int(np.sort(np.bincount(src_u, minlength=n_tot))[-4])
+    for n_shards, hubs in ((1, None), (3, None), (3, hub_min)):
+        sg = ShardedGraph(adj_dir, n_tot, n_shards=n_shards, hub_min_degree=hubs)
+        try:
+            if hubs is not None:
+                assert len(sg.hubs), "hub path not exercised"
+            for k in (2, 3, 5, 40):
+                got = kcore_members(sg, k).to_pandas()
+                got_set = set(got["vid"].tolist()) if len(got) else set()
+                want = set(np.nonzero(kcore_oracle(n_tot, src_u, dst_u, k))[0].tolist())
+                assert got_set == want, (n_shards, hubs, k, got_set ^ want)
+        finally:
+            sg.shutdown()
+
+
+def test_kcore_members_raises_when_unconverged(tmp_path):
+    """One wave cannot peel the path tail: rather than return the
+    superset an unconverged coreness gives, ``kcore_members`` raises
+    naming ``max_iter``."""
+    from hipporag_ray.algos.iterate import kcore_members
+
+    adj_dir, n_tot, _, _ = _kcore_graph(tmp_path)
+    sg = ShardedGraph(adj_dir, n_tot, n_shards=2)
+    try:
+        with pytest.raises(RuntimeError, match="max_iter=1"):
+            kcore_members(sg, 2, max_iter=1)
+    finally:
+        sg.shutdown()
 
 
 def test_coreness_h_index_vs_peeling_oracle(tmp_path):
@@ -1239,9 +1272,10 @@ def test_spmm_segmin_guards():
 
 def test_lp_vote_guards():
     """``_Kernels.lp_vote`` refuses a wrong dtype, a non-contiguous array,
-    mismatched lengths, a read-only ``nxt`` and an owner outside
-    [0, len(nxt)) instead of letting the C loop read or write out of
-    bounds; a refused call leaves ``nxt`` as it was."""
+    mismatched lengths, a read-only ``nxt``, rows not grouped by owner
+    and an owner outside [0, len(nxt)) instead of letting the C loop
+    read or write out of bounds; a refused call leaves ``nxt`` as it
+    was."""
     from hipporag_ray.state.native import native
 
     kern = native()
@@ -1271,6 +1305,11 @@ def test_lp_vote_guards():
     for args in bad:
         with pytest.raises(ValueError):
             kern.lp_vote(*args)
+    ungrouped = np.array([0, 2, 0, 2, 0], np.int64)  # owner order broken
+    got = fresh()
+    with pytest.raises(ValueError, match="not grouped by owner"):
+        kern.lp_vote(ungrouped, lab, w, got)
+    assert got.tolist() == [0, 1, 2, 3]
     for out_of_range in (-1, 4):
         o = own.copy()
         o[3] = out_of_range

@@ -180,7 +180,7 @@ def test_token_count_edge_cases():
             {"doc_id": 2, "text": "one two  three"},
         ]
     )
-    out = ts.token_count(ds, "text", "doc_id").to_pandas().set_index("doc_id")
+    out = ts.token_count(ds, "text", "doc_id").to_pandas().set_index("doc_id").sort_index()
     assert out["n_tokens"].tolist() == [0, 0, 3]
 
 
