@@ -6,18 +6,23 @@ agreement with ``oracle.triangles_oracle``.
 
 Plan:
 1. canonicalize records to the int64 pair code a*n + b (a=min, b=max,
-   self-loops dropped), distinct — a 1-D ``np.unique`` per batch, then
-   the int-key exchange across batches;
+   self-loops dropped) — one plain task per input block as the read
+   streams it, with a block-local 1-D ``np.unique``.  The code blocks
+   go straight to the CSR task, which dedups their concatenation: no
+   map operator, exchange or materialization between the read and
+   the count.  Only an input of more than ``broadcast_limit`` rows
+   first runs the int-key exchange, to learn whether its distinct set
+   still fits the broadcast plan;
 2. orient each edge from the lower-(degree, vid) endpoint to the
    higher one — the standard degeneracy trick that bounds every
    forward-adjacency list by O(sqrt(m));
-3. build the oriented CSR once in a task from the distinct blocks
-   (forward lists sorted by vid) and broadcast it by reference; per
-   oriented edge (u, v), parallel tasks over slices of the edge list
-   merge-intersect N+(u) and N+(v) with the compiled ``tri_merge``
-   kernel (``state/native.py``); without the kernel a numpy fallback
-   expands the wedges (u, v, w ∈ N+(v)) and binary-searches (u, w) in
-   the sorted edge codes.  Each task returns a per-vertex count vector;
+3. build the oriented CSR once in that task (forward lists sorted by
+   vid) and broadcast it by reference; per oriented edge (u, v),
+   parallel tasks over slices of the edge list merge-intersect N+(u)
+   and N+(v) with the compiled ``tri_merge`` kernel
+   (``state/native.py``); without the kernel a numpy fallback expands
+   the wedges (u, v, w ∈ N+(v)) and binary-searches (u, w) in the
+   sorted edge codes.  Each task returns a per-vertex count vector;
 4. sum of the per-task vectors on the driver.
 
 The broadcast index holds the *distinct simple edge set* (entity
@@ -36,6 +41,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..stages.shuffle import _blocks, _checked, _cpus, _np, int_key_sum
 from ..state.native import native
 
 
@@ -46,23 +52,23 @@ def triangle_count(
 ) -> tuple[int, np.ndarray]:
     """Returns (total_triangles, per_vertex_counts int64[n]).
 
-    Two physical plans over the same semantics:
+    ``edges`` runs once, as its own read: each block streams into one
+    :func:`_block_codes` task.  Two physical plans over the same
+    semantics, picked by the distinct simple edge count m:
 
-    * distinct simple edge set <= ``broadcast_limit``: build the
-      oriented CSR once in a task, broadcast it by reference and
-      intersect forward lists per edge slice (the small-graph fast
-      path below);
+    * m <= ``broadcast_limit``: one task dedups the code blocks and
+      builds the oriented CSR, which the count tasks share by reference
+      and intersect forward lists over slices of.  Input rows bound m,
+      so rows within the limit send the code blocks straight to that
+      task: no exchange, no materialization and no driver wait before
+      the result.  Larger inputs learn m from the distinct int-key
+      exchange first;
     * larger: fully distributed bucketed wedge join — orient, expand
       forward-neighbor pairs per midpoint through the grouped hash
       exchange, semi-join the wedge codes against the oriented edge
       codes, aggregate per-vertex counts through the int-key shuffle.
       No edge-set materialization on the driver.
     """
-    # distinct canonical pairs through the int-key exchange (code =
-    # a*n + b) — Dataset.groupby on the pair columns measured ~10x
-    # slower on the transcript graph
-    from ..stages.shuffle import int_key_sum
-
     if n_vertices >= 3_037_000_499:  # isqrt(2^63): a*n+b must fit int64
         # silent int64 wraparound would produce a WRONG count; the
         # struct-key pair exchange (shuffle.int_pair_key_sum, the
@@ -72,65 +78,51 @@ def triangle_count(
             f"triangle_count packs vertex pairs into int64 codes; "
             f"n_vertices={n_vertices} would overflow (limit ~3.03e9)"
         )
-    n0 = n_vertices
-
-    def to_codes(batch: pa.Table) -> pa.Table:
-        src = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dst = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = np.minimum(src, dst)
-        b = np.maximum(src, dst)
-        keep = a != b
-        # per-batch pre-dedup shrinks the shuffle; a 1-D unique on the
-        # int64 code is ~30x cheaper than a row-wise unique of (a, b)
-        code = np.unique(a[keep] * n0 + b[keep])
-        return pa.table(
-            {
-                "code": pa.array(code, type=pa.int64()),
-                "one": pa.array(np.ones(len(code), np.float64)),
-            }
-        )
-
-    def from_codes(batch: pa.Table) -> pa.Table:
-        code = batch["code"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "a": pa.array(code // n0, type=pa.int64()),
-                "b": pa.array(code % n0, type=pa.int64()),
-            }
-        )
-
-    distinct = int_key_sum(
-        edges.map_batches(to_codes, batch_format="pyarrow").materialize(),
-        "code",
-        "one",
-    ).materialize()
-    m = distinct.count()
-    if m == 0:
+    codes, rows = [], 0
+    for bref, r in _blocks(edges):
+        codes.append(_block_codes.remote(bref, n_vertices))
+        rows += r
+    if rows == 0:
         return 0, np.zeros(n_vertices, dtype=np.int64)
-    if m > broadcast_limit:
-        return _triangle_count_distributed(
-            distinct.map_batches(from_codes, batch_format="pyarrow").materialize(),
-            n_vertices,
-        )
+    if rows > broadcast_limit:
+        # distinct pairs through the int-key exchange — Dataset.groupby
+        # on the pair columns measured ~10x slower on the transcript
+        # graph; the distinct count m picks the plan
+        distinct = int_key_sum(rd.from_arrow_refs(codes), "code", "one").materialize()
+        rows = distinct.count()
+        if rows == 0:
+            return 0, np.zeros(n_vertices, dtype=np.int64)
+        if rows > broadcast_limit:
+
+            def from_codes(batch: pa.Table) -> pa.Table:
+                code = batch["code"].to_numpy(zero_copy_only=False)
+                return pa.table(
+                    {
+                        "a": pa.array(code // n_vertices, type=pa.int64()),
+                        "b": pa.array(code % n_vertices, type=pa.int64()),
+                    }
+                )
+
+            return _triangle_count_distributed(
+                distinct.map_batches(from_codes, batch_format="pyarrow").materialize(),
+                n_vertices,
+            )
+        codes = [b for b, _r in _blocks(distinct)]
     # the driver picks the counting path (HIPPORAG_RAY_NO_NATIVE or no
     # compiler: numpy) and compiles or loads the kernel cache once, so
     # the count tasks load the cached .so instead of racing compiles
     use_kernel = native() is not None
-    # the CSR is built in a task straight from the distinct blocks and
-    # the count tasks return per-vertex vectors: the driver never copies
-    # an edge-sized array into or out of the object store
-    blocks = [b for bundle in distinct.iter_internal_ref_bundles() for b, _ in bundle.blocks]
-    csr_ref = _broadcast_csr.remote(n_vertices, *blocks)
+    # the CSR is built in a task straight from the code blocks and the
+    # count tasks return per-vertex vectors: the driver never copies an
+    # edge-sized array into or out of the object store
+    csr_ref = _broadcast_csr.remote(n_vertices, *codes)
+    del codes  # the CSR task holds the code blocks until it has run
     # one task per slice of the oriented edge list so the O(m*sqrt(m))
-    # counting stage (the dominant cost) parallelizes
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    k = min(cpus, max(1, m // 4096))
-    cuts = [i * m // k for i in range(k + 1)]
+    # counting stage (the dominant cost) parallelizes; rows bounds m,
+    # and each task cuts its slice from the CSR's own edge count
+    k = min(_cpus(), max(1, rows // 4096))
     parts = ray.get(
-        [
-            _count_slice.remote(csr_ref, cuts[i], cuts[i + 1], use_kernel)
-            for i in range(k)
-        ]
+        [_count_slice.remote(csr_ref, i, k, use_kernel) for i in range(k)]
     )
     per_vertex = np.sum(parts, axis=0, dtype=np.int64)
     total = int(per_vertex.sum()) // 3
@@ -138,28 +130,63 @@ def triangle_count(
 
 
 @ray.remote
+def _block_codes(block, n: int) -> pa.Table:
+    """Distinct pair codes a*n + b (a = min, b = max endpoint,
+    self-loops dropped) of one edge block, with the unit weight column
+    ``int_key_sum`` sums.  The exchange splits' column contract: a
+    zero-row, schema-less block yields no codes; a block with rows but
+    no ``src``/``dst`` raises ``KeyError``."""
+    tbl = _checked(block, "src", "dst")
+    src, dst = _np(tbl, "src", np.int64), _np(tbl, "dst", np.int64)
+    a = np.minimum(src, dst)
+    b = np.maximum(src, dst)
+    keep = a != b
+    # a 1-D unique on the int64 code is ~30x cheaper than a row-wise
+    # unique of (a, b)
+    code = np.unique(a[keep] * n + b[keep])
+    return pa.table(
+        {
+            "code": pa.array(code, type=pa.int64()),
+            "one": pa.array(np.ones(len(code), np.float64)),
+        }
+    )
+
+
+@ray.remote
 def _broadcast_csr(n: int, *blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, adj) of the oriented CSR from the distinct pair-code
-    blocks of the int-key exchange."""
-    code = np.concatenate(
-        [np.zeros(0, np.int64)]
-        + [b["code"].to_numpy(zero_copy_only=False).astype(np.int64) for b in blocks]
+    """(indptr, adj) of the oriented CSR over the distinct pair codes of
+    ``blocks`` (each block is distinct only within itself)."""
+    code = np.unique(
+        np.concatenate(
+            [np.zeros(0, np.int64)]
+            + [b["code"].to_numpy(zero_copy_only=False).astype(np.int64) for b in blocks]
+        )
     )
     _u, indptr, adj, _codes = _oriented_csr(code // n, code % n, n)
     return indptr, adj
 
 
 @ray.remote
-def _count_slice(csr, e0: int, e1: int, use_kernel: bool) -> np.ndarray:
-    """Per-vertex triangle corners closed by the oriented edges
-    [e0, e1) of the broadcast CSR."""
+def _count_slice(csr, i: int, k: int, use_kernel: bool) -> np.ndarray:
+    """Per-vertex triangle corners closed by slice i of k of the
+    broadcast CSR's oriented edges."""
     indptr, adj = csr  # zero-copy views of the broadcast object
-    n = len(indptr) - 1
-    u = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    n, m = len(indptr) - 1, len(adj)
+    e0, e1 = i * m // k, (i + 1) * m // k
     kern = native() if use_kernel else None
-    # the numpy fallback looks up (u, w) in the sorted edge codes
-    codes = u * n + adj if kern is None else None
-    return _count_forward(u[e0:e1], adj[e0:e1], indptr, adj, codes, kern)
+    if kern is None:
+        # the numpy fallback looks up (u, w) in the sorted codes of
+        # every edge, so it expands every edge's source
+        u = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        return _count_forward(u[e0:e1], adj[e0:e1], indptr, adj, u * n + adj)
+    # the sources of the slice's edges: each vertex x0..x1-1 repeated
+    # once per edge of its forward list that falls inside [e0, e1)
+    x0 = np.searchsorted(indptr, e0, side="right") - 1
+    x1 = np.searchsorted(indptr, e1, side="left")
+    u = np.repeat(
+        np.arange(x0, x1, dtype=np.int64), np.diff(np.clip(indptr[x0 : x1 + 1], e0, e1))
+    )
+    return _count_forward(u, adj[e0:e1], indptr, adj, None, kern)
 
 
 def _oriented_csr(

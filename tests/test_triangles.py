@@ -230,3 +230,108 @@ def test_tri_merge_guards():
     ro.flags.writeable = False
     with pytest.raises(ValueError):
         kern.tri_merge(indptr, v, u, v, ro)
+
+
+def _plan_spy(monkeypatch):
+    """Record the front's distinct exchange and distributed-plan calls."""
+    calls = {"int_key_sum": 0, "distributed": 0}
+
+    def spy(name, fn):
+        def wrapped(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        triangles, "int_key_sum", spy("int_key_sum", triangles.int_key_sum)
+    )
+    monkeypatch.setattr(
+        triangles,
+        "_triangle_count_distributed",
+        spy("distributed", triangles._triangle_count_distributed),
+    )
+    return calls
+
+
+def test_triangle_plan_choice(monkeypatch):
+    """Input rows within broadcast_limit count on the broadcast plan with
+    no exchange; rows over it pay the distinct exchange, whose distinct
+    count picks the plan exactly as before (distinct <= limit: broadcast,
+    else the wedge join).  Every case is exact against the oracle."""
+    rng = np.random.default_rng(21)
+    n = 70
+    src, dst = rng.integers(0, n, 400), rng.integers(0, n, 400)
+    a, b = np.minimum(src, dst), np.maximum(src, dst)
+    m = len(np.unique(a[a != b] * n + b[a != b]))
+    want_total, want_per = triangles_oracle(n, src, dst)
+    # each pair three times, in both orientations: 3x the rows, same set
+    dup = _edges_ds(np.concatenate([src, dst, src]), np.concatenate([dst, src, dst]))
+    cases = [
+        (_edges_ds(src, dst), len(src), {"int_key_sum": 0, "distributed": 0}),
+        (dup, m, {"int_key_sum": 1, "distributed": 0}),
+        (dup, m - 1, {"int_key_sum": 1, "distributed": 1}),
+    ]
+    for ds, limit, want_calls in cases:
+        with monkeypatch.context() as mp:
+            calls = _plan_spy(mp)
+            total, per = triangle_count(ds, n, broadcast_limit=limit)
+        assert calls == want_calls, (limit, calls)
+        assert total == want_total
+        np.testing.assert_array_equal(per, want_per)
+
+
+@pytest.mark.parametrize("case", ["empty", "self_loops"])
+def test_triangle_empty_inputs(case, monkeypatch):
+    """No rows, or only self-loops: (0, zeros(n)) on both count paths."""
+    n = 5
+    src = [] if case == "empty" else [0, 3, 3, 4]
+    ds = _edges_ds(np.array(src, np.int64), np.array(src, np.int64))
+    for total, per in _both_paths(monkeypatch, ds, n):
+        assert total == 0
+        assert per.dtype == np.int64
+        np.testing.assert_array_equal(per, np.zeros(n, np.int64))
+
+
+def test_triangle_block_codes_column_contract():
+    """A block with rows but no dst column raises a KeyError naming it;
+    a zero-row block with no schema yields no codes."""
+    import ray
+
+    ds = rd.from_arrow(
+        pa.table({"src": pa.array([0, 1], pa.int64()), "dest": pa.array([1, 2], pa.int64())})
+    )
+    with pytest.raises(KeyError, match=r"missing column\(s\) \['dst'\]"):
+        triangle_count(ds, 3)
+    out = ray.get(triangles._block_codes.remote(pa.table({}), 3))
+    assert out.num_rows == 0 and out.column_names == ["code", "one"]
+
+
+def test_triangle_broadcast_plan_runs_one_execution(tmp_path, monkeypatch):
+    """A broadcast-plan call over a parquet read runs exactly one Ray Data
+    execution: the read itself, with no materialization after it."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    rng = np.random.default_rng(5)
+    n = 90
+    src, dst = rng.integers(0, n, 700), rng.integers(0, n, 700)
+    for i in range(3):  # three files: three input blocks
+        s = slice(i * 250, (i + 1) * 250)
+        pq.write_table(
+            pa.table({"src": pa.array(src[s]), "dst": pa.array(dst[s])}),
+            tmp_path / f"part-{i}.parquet",
+        )
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *a, **k):
+        calls.append(1)
+        return execute(self, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    total, per = triangle_count(rd.read_parquet(str(tmp_path)), n)
+    assert len(calls) == 1, f"{len(calls)} Ray Data executions"
+    want_total, want_per = triangles_oracle(n, src, dst)
+    assert total == want_total
+    np.testing.assert_array_equal(per, want_per)
