@@ -89,10 +89,10 @@ def triangle_count(
         # on the pair columns measured ~10x slower on the transcript
         # graph; the distinct count m picks the plan
         distinct = int_key_sum(rd.from_arrow_refs(codes), "code", "one").materialize()
-        rows = distinct.count()
-        if rows == 0:
+        m = distinct.count()
+        if m == 0:
             return 0, np.zeros(n_vertices, dtype=np.int64)
-        if rows > broadcast_limit:
+        if m > broadcast_limit:
 
             def from_codes(batch: pa.Table) -> pa.Table:
                 code = batch["code"].to_numpy(zero_copy_only=False)
@@ -108,6 +108,10 @@ def triangle_count(
                 n_vertices,
             )
         codes = [b for b, _r in _blocks(distinct)]
+    else:
+        # input rows bound m from above: with duplicates or self-loops
+        # the count stage below may start more tasks than m needs
+        m = rows
     # the driver picks the counting path (HIPPORAG_RAY_NO_NATIVE or no
     # compiler: numpy) and compiles or loads the kernel cache once, so
     # the count tasks load the cached .so instead of racing compiles
@@ -118,9 +122,9 @@ def triangle_count(
     csr_ref = _broadcast_csr.remote(n_vertices, *codes)
     del codes  # the CSR task holds the code blocks until it has run
     # one task per slice of the oriented edge list so the O(m*sqrt(m))
-    # counting stage (the dominant cost) parallelizes; rows bounds m,
-    # and each task cuts its slice from the CSR's own edge count
-    k = min(_cpus(), max(1, rows // 4096))
+    # counting stage (the dominant cost) parallelizes; each task cuts
+    # its slice from the CSR's own edge count
+    k = min(_cpus(), max(1, m // 4096))
     parts = ray.get(
         [_count_slice.remote(csr_ref, i, k, use_kernel) for i in range(k)]
     )
@@ -173,20 +177,11 @@ def _count_slice(csr, i: int, k: int, use_kernel: bool) -> np.ndarray:
     indptr, adj = csr  # zero-copy views of the broadcast object
     n, m = len(indptr) - 1, len(adj)
     e0, e1 = i * m // k, (i + 1) * m // k
+    u = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     kern = native() if use_kernel else None
-    if kern is None:
-        # the numpy fallback looks up (u, w) in the sorted codes of
-        # every edge, so it expands every edge's source
-        u = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        return _count_forward(u[e0:e1], adj[e0:e1], indptr, adj, u * n + adj)
-    # the sources of the slice's edges: each vertex x0..x1-1 repeated
-    # once per edge of its forward list that falls inside [e0, e1)
-    x0 = np.searchsorted(indptr, e0, side="right") - 1
-    x1 = np.searchsorted(indptr, e1, side="left")
-    u = np.repeat(
-        np.arange(x0, x1, dtype=np.int64), np.diff(np.clip(indptr[x0 : x1 + 1], e0, e1))
-    )
-    return _count_forward(u, adj[e0:e1], indptr, adj, None, kern)
+    # the numpy fallback looks up (u, w) in the sorted edge codes
+    codes = u * n + adj if kern is None else None
+    return _count_forward(u[e0:e1], adj[e0:e1], indptr, adj, codes, kern)
 
 
 def _oriented_csr(

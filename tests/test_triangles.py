@@ -335,3 +335,33 @@ def test_triangle_broadcast_plan_runs_one_execution(tmp_path, monkeypatch):
     want_total, want_per = triangles_oracle(n, src, dst)
     assert total == want_total
     np.testing.assert_array_equal(per, want_per)
+
+
+def test_count_slices_sum_exactly_for_any_slice_count():
+    """The count tasks' own slice cuts (i*m//k): for k = 2, 3 and m + 2
+    (so some slices are empty) the per-slice partials over one broadcast
+    CSR sum to the oracle on the kernel and the numpy path, with cuts
+    inside forward lists and vertices without any forward edge."""
+    import ray
+
+    rng = np.random.default_rng(33)
+    n = 50  # vids 40..49 are isolated
+    src, dst = rng.integers(0, 40, 150), rng.integers(0, 40, 150)
+    want_total, want_per = triangles_oracle(n, src, dst)
+    assert want_total > 0
+    _u, indptr, adj, _codes = _oriented(n, src, dst)
+    m = len(adj)
+    assert (np.diff(indptr) == 0).sum() > 10
+    # a cut that is no list start falls inside a forward list
+    assert not np.isin([m // 3, 2 * m // 3], indptr).all()
+    csr = ray.put((indptr, adj))
+    for k in (2, 3, m + 2):
+        for use_kernel in (True, False):
+            per = np.sum(
+                ray.get(
+                    [triangles._count_slice.remote(csr, i, k, use_kernel) for i in range(k)]
+                ),
+                axis=0,
+            )
+            assert int(per.sum()) // 3 == want_total, (k, use_kernel)
+            np.testing.assert_array_equal(per, want_per)
