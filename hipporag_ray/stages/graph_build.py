@@ -32,8 +32,18 @@ Three writers share one commit path: :func:`build_graph` (full build),
 edge merge (:func:`_merge_edges`) and write edges, adjacency and
 manifest in one tail (:func:`_write_edges_adj_manifest`).  The full
 build keeps its distributed vertex dictionary (``hash_distinct`` +
-:func:`assign_dense_ids`): the incremental writer holds the delta's
+range sort + dense ids): the incremental writer holds the delta's
 keys on the driver, which for a full build would be the whole corpus.
+
+Ray Data runs a writer's input read only.  After it, every stage is a
+plain Ray task on block refs, handed from one to the next as (ref,
+rows) pairs (:func:`_map_blocks`, the ``*_refs`` exchanges of
+stages/shuffle.py, :func:`_write_parts`); a merge or delete reads the
+stored parts by path.  The writers return their wall split by stage
+(``GraphTables.stages``).  Parts keep the layout Ray Data's parquet
+sink gave them: one per block in name order, row groups of at most
+32,768 rows with min/max statistics, one typed-empty part for a table
+without rows.
 
 A delete is the same edge merge with negated partials, plus a vid
 shift.  A deleted chunk can only orphan entities it mentions, so the
@@ -49,14 +59,18 @@ left has no fact edge left either); one that does raises
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import shutil
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 import ray
@@ -147,12 +161,20 @@ def _encode_edges_table(batch: pa.Table, n: int, struct: bool) -> pa.Table:
     )
 
 
-def _sum_edge_partials(partials: "rd.Dataset", struct: bool) -> "rd.Dataset":
-    from .shuffle import int_key_sum, int_pair_key_sum
+def _sum_edge_partials(partials: list, struct: bool) -> list:
+    """Edge partial (block ref, rows) pairs summed per key: the reduce
+    output refs of the int-key (or pair-key) exchange."""
+    from .shuffle import int_key_sum_refs, int_pair_key_sum_refs
 
     if struct:
-        return int_pair_key_sum(partials, "src", "lo", "weight")
-    return int_key_sum(partials, "code2", "weight")
+        return int_pair_key_sum_refs(partials, "src", "lo", "weight")
+    return int_key_sum_refs(partials, "code2", "weight")
+
+
+def _decode_nonzero(batch: pa.Table, n: int, struct: bool) -> pa.Table:
+    """Summed key rows -> edge rows, keys whose weights cancelled to
+    zero dropped."""
+    return _decode_edges_table(batch.filter(pc.not_equal(batch["weight"], 0.0)), n, struct)
 
 
 def _kept_tokens(norm, min_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -377,7 +399,7 @@ def _partials_via_join(
     through the bucketed hash join (stages/shuffle.py) — the scale path
     once the dictionary outgrows single-node memory.  Produces the same
     rows as ChunkToIntEdgePartials (verified equal in tests)."""
-    from .shuffle import _exchange, _pair_partial_sum, _plain_split, grouped_pairs, hash_join
+    from .shuffle import _blocks, _exchange, _pair_partial_sum, _plain_split, grouped_pairs, hash_join
 
     struct = _use_struct_keys(n_vertices, struct_keys)
     n = int(n_vertices)
@@ -426,7 +448,11 @@ def _partials_via_join(
         pairs = grouped_pairs(m2, "chunk_key", "ent_vid", mode="ne")
     else:
         outs = _exchange(
-            m2, _plain_split, ("chunk_key",), _window_pairs_reduce, ("chunk_key", "ent_vid", "pos")
+            _blocks(m2),
+            _plain_split,
+            ("chunk_key",),
+            _window_pairs_reduce,
+            ("chunk_key", "ent_vid", "pos"),
         )
         if outs:
             pairs = rd.from_arrow_refs(outs)
@@ -473,6 +499,91 @@ class ChunkToVertexRows:
 
 
 # ---------------------------------------------------------------------------
+# plain tasks on block refs
+# ---------------------------------------------------------------------------
+
+
+@ray.remote(num_returns=2)
+def _map_block(fn, block):
+    """``fn`` over one block (a block ref, or a parquet part by path),
+    with the output's row count as a second return."""
+    from .shuffle import _tbl
+
+    out = fn(pq.read_table(block) if isinstance(block, str) else _tbl(block))
+    return out, out.num_rows
+
+
+def _map_blocks(fn, blocks: list) -> list:
+    """One plain task of ``fn`` per block (a ref or a part path): the
+    outputs as (ref, rows) pairs, the counts fetched in one get."""
+    outs = [_map_block.remote(fn, b) for b in blocks]
+    rows = ray.get([n for _, n in outs])
+    return [(t, n) for (t, _), n in zip(outs, rows)]
+
+
+class _Batched:
+    """``fn`` over consecutive ``rows``-row slices of a block, the
+    outputs concatenated (``map_batches``' ``batch_size``)."""
+
+    def __init__(self, fn, rows: int):
+        self.fn, self.rows = fn, rows
+
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        return pa.concat_tables(
+            [self.fn(tbl.slice(i, self.rows)) for i in range(0, max(tbl.num_rows, 1), self.rows)]
+        )
+
+
+def _expand(batch: pa.Table) -> pa.Table:
+    """Edge records -> both directions: the records, then each reversed."""
+    rev = pa.table(
+        {"src": batch["dst"], "dst": batch["src"], "weight": batch["weight"], "etype": batch["etype"]}
+    )
+    return pa.concat_tables([batch, rev])
+
+
+@ray.remote
+def _vertex_map(*blocks) -> "pd.Series":
+    """The broadcast vertex dictionary: vid by node_key over the vertex
+    blocks."""
+    keyed = pa.concat_tables([b.select(["node_key", "vid"]) for b in blocks])
+    return keyed.to_pandas().set_index("node_key")["vid"]
+
+
+@ray.remote
+def _write_part(block, path: str, i: int) -> None:
+    """Part ``i`` of the table directory ``path``: one block written as
+    Ray Data 2.49.2's parquet sink writes one (pyarrow's dataset
+    writer: row groups of at most 32,768 rows with min/max statistics,
+    which the CSR shard bounds and hub detection read), single-threaded
+    so the part keeps the block's row order.  Zero-padded, so name
+    order is block order."""
+    from .shuffle import _tbl
+
+    pads.write_dataset(
+        _tbl(block),
+        path,
+        basename_template=f"part-{i:06d}-{{i}}.parquet",
+        format="parquet",
+        existing_data_behavior="overwrite_or_ignore",
+        use_threads=False,
+    )
+
+
+def _write_parts(blocks: list, path: str, which: str) -> None:
+    """Write the (ref, rows) ``blocks`` that have rows as the parts of
+    ``path``, in block order, and wait for them.  A table with no rows
+    still gets one typed-empty part: a graph with vertices but zero
+    edges must still leave edges/ and adj/ on disk, or every
+    subsequent load crashes with FileNotFoundError."""
+    os.makedirs(path, exist_ok=True)
+    ray.get([_write_part.remote(r, path, i) for i, (r, n) in enumerate(blocks) if n])
+    if not any(n for _, n in blocks):
+        sch = _schema.VERTICES if which == "vertices" else _schema.EDGES
+        pq.write_table(sch.empty_table(), os.path.join(path, "part-0.parquet"))
+
+
+# ---------------------------------------------------------------------------
 # dense id assignment (sort + per-block offsets)
 # ---------------------------------------------------------------------------
 
@@ -483,23 +594,27 @@ def _with_ids(tbl: pa.Table, offset: int, col: str) -> pa.Table:
     return tbl.append_column(col, pa.array(ids, type=pa.int64()))
 
 
+def _with_offsets(blocks: list, id_col: str) -> list:
+    """(ref, rows) of the ordered ``blocks`` with a dense int64
+    ``id_col`` appended, offsets from their row counts."""
+    offsets = np.cumsum([0] + [n for _, n in blocks])
+    return [(_with_ids.remote(r, int(off), id_col), n) for (r, n), off in zip(blocks, offsets)]
+
+
 def assign_dense_ids(ds: "rd.Dataset", key: str, id_col: str = "vid") -> "rd.Dataset":
     """Sort by ``key`` and append a dense, globally-contiguous int64 id.
 
     The sort is a shuffle (custom range sort); id assignment is then
-    per-block with a small metadata pass for offsets (no driver
-    materialization of rows).
+    per-block with offsets from the sorted blocks' row counts (no
+    driver materialization of rows).  A Dataset without rows keeps its
+    blocks, each given an empty id column.
     """
-    from .shuffle import _row_counts, range_sort
+    from .shuffle import _blocks, range_sort_refs
 
-    sorted_ds = range_sort(ds, key).materialize()
-    refs = sorted_ds.to_arrow_refs()
-    counts = _row_counts(refs)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    out_refs = [
-        _with_ids.remote(r, int(off), id_col) for r, off in zip(refs, offsets)
-    ]
-    return rd.from_arrow_refs(out_refs)
+    srt = range_sort_refs(_blocks(ds), key)
+    if not srt:
+        srt = [(r, 0) for r in ds.materialize().to_arrow_refs()]
+    return rd.from_arrow_refs([r for r, _ in _with_offsets(srt, id_col)])
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +627,10 @@ class GraphTables:
     out_dir: str
     n_vertices: int
     n_edges: int  # canonical edge records (fact both-direction + passage one-direction)
+    # the write's wall split by stage (dedup_s, vertex_dict_s,
+    # vertex_write_s, edge_sum_s, edge_write_s, adj_s), seconds that sum
+    # to the call's wall; empty for a graph loaded or copied through
+    stages: dict = field(default_factory=dict, compare=False)
 
     @property
     def vertices_path(self) -> str:
@@ -542,19 +661,19 @@ class GraphTables:
         return rd.read_parquet(self.adj_path)
 
 
-def _write_table_dir(ds: "rd.Dataset", path: str, which: str) -> None:
-    """write_parquet that guarantees the directory exists even for a
-    0-row Dataset (Ray creates nothing then): a graph with vertices but
-    zero edges must still leave edges/ and adj/ on disk, or every
-    subsequent load crashes with FileNotFoundError."""
-    ds.write_parquet(path)
-    has_part = os.path.isdir(path) and any(
-        f.endswith(".parquet") for f in os.listdir(path)
-    )
-    if not has_part:
-        sch = _schema.VERTICES if which == "vertices" else _schema.EDGES
-        os.makedirs(path, exist_ok=True)
-        pq.write_table(sch.empty_table(), os.path.join(path, "part-0.parquet"))
+class _Stages:
+    """A writer's wall split: each mark books the time since the last
+    one (or since construction) to a stage, so the stages sum to the
+    call's wall."""
+
+    def __init__(self):
+        self.split: dict = {}
+        self._t = time.perf_counter()
+
+    def mark(self, name: str) -> None:
+        now = time.perf_counter()
+        self.split[name] = self.split.get(name, 0.0) + now - self._t
+        self._t = now
 
 
 def graph_config(out_dir: str, min_token_len: int = 3, edge_source: str = "cooccur") -> tuple[int, str]:
@@ -599,73 +718,70 @@ def _copy_through(graph: "GraphTables", out_dir: str) -> "GraphTables":
 
 
 def _edge_partials(
-    chunks: "rd.Dataset",
+    chunks: list,
     vertices,
     n: int,
     min_token_len: int,
     edge_source: str,
     struct: bool,
     broadcast_vertex_limit: int,
-) -> "rd.Dataset":
-    """Edge partial rows of ``chunks`` in the aggregation key layout.
-    ``vertices`` maps their keys to vids: a (node_key, vid) table on
-    the driver or a materialized Dataset with those columns.  It is
-    broadcast once (``ray.put``) while it has at most
-    ``broadcast_vertex_limit`` rows; beyond that the bucketed hash-join
-    path (:func:`_partials_via_join`) gives the same rows with no
-    driver-side or per-worker dictionary."""
+):
+    """Edge partial rows of the chunk block refs ``chunks`` in the
+    aggregation key layout, as (ref, rows) pairs.  ``vertices`` maps
+    their keys to vids: a (node_key, vid) table on the driver or (ref,
+    rows) pairs of vertex blocks with those columns.  It is broadcast
+    once (``ray.put`` of the table, or one task over the blocks) while
+    it has at most ``broadcast_vertex_limit`` rows; beyond that the
+    bucketed hash-join path (:func:`_partials_via_join`, on Datasets
+    over the refs) gives the same rows with no driver-side or
+    per-worker dictionary."""
+    from .shuffle import _blocks
+
     local = isinstance(vertices, pa.Table)
-    if (vertices.num_rows if local else vertices.count()) > broadcast_vertex_limit:
-        return _partials_via_join(
-            chunks, rd.from_arrow(vertices) if local else vertices,
-            n, min_token_len, edge_source, struct,
+    if (vertices.num_rows if local else sum(k for _, k in vertices)) > broadcast_vertex_limit:
+        vds = rd.from_arrow(vertices) if local else rd.from_arrow_refs([r for r, _ in vertices])
+        return _blocks(
+            _partials_via_join(rd.from_arrow_refs(chunks), vds, n, min_token_len, edge_source, struct)
         )
-    keyed = vertices if local else vertices.select_columns(["node_key", "vid"])
-    vmap_ref = ray.put(keyed.to_pandas().set_index("node_key")["vid"])
-    # per-batch pre-aggregated int codes for the custom int-key sum
-    # shuffle (Dataset.groupby measured 25x slower here, see
-    # stages/shuffle.py).  Explicit batch_size: the deduped-chunk
-    # exchange can emit few large blocks (its partition heuristic
-    # optimizes the shuffle, not this consumer) — without splitting,
-    # the hottest stage of the build runs at the block count's
-    # parallelism.  Task-based (callable instance), NOT an actor pool:
+    if local:
+        vmap_ref = ray.put(vertices.to_pandas().set_index("node_key")["vid"])
+    else:
+        vmap_ref = _vertex_map.remote(*[r for r, _ in vertices])
+    # one plain task per chunk block (the dedup exchange makes one per
+    # CPU, so the hottest stage of the build runs at the CPU count's
+    # parallelism), each pre-aggregating per 2048-row batch into int
+    # codes for the custom int-key sum (Dataset.groupby measured 25x
+    # slower here, see stages/shuffle.py).  Tasks, NOT an actor pool:
     # the batch function is ~30us/row, so a pool's actor-launch latency
     # dominates (measured 16.5s pooled vs ~4s as tasks on warm workers
-    # at 32 CPUs); tasks re-fetch the broadcast vmap from plasma per
-    # task, which is vertex-table-sized and cheap
-    return chunks.map_batches(
-        ChunkToIntEdgePartials(vmap_ref, n, min_token_len, edge_source, struct),
-        batch_format="pyarrow",
-        batch_size=2048,
-    )
+    # at 32 CPUs); tasks fetch the broadcast vmap from plasma, which is
+    # vertex-table-sized and cheap
+    fn = ChunkToIntEdgePartials(vmap_ref, n, min_token_len, edge_source, struct)
+    return _map_blocks(_Batched(fn, 2048), chunks)
 
 
-def _merge_edges(
-    partials: "rd.Dataset", n: int, struct: bool, base: "GraphTables | None" = None
-) -> "rd.Dataset":
-    """The edge merge of every writer: ``partials`` plus the stored
-    edge records of ``base`` (re-encoded with ``n`` vertices) summed
-    per key through the int-key exchange, keys whose weights cancel to
-    zero dropped (a delete's negated partials — counts are
-    integer-valued floats, so a cancelled record sums to 0.0 exactly;
-    without negative partials nothing is dropped), decoded and
-    materialized."""
+def _merge_edges(partials, n: int, struct: bool, base: "GraphTables | None" = None) -> list:
+    """The edge merge of every writer: the (ref, rows) ``partials`` (a
+    list is emptied once the exchange holds its blocks) plus the stored
+    edge records of ``base`` (each part read by path
+    and re-encoded with ``n`` vertices in a plain task) summed per key
+    through the int-key exchange, then one task per reduce output
+    decodes it and drops the keys whose weights cancel to zero (a
+    delete's negated partials — counts are integer-valued floats, so a
+    cancelled record sums to 0.0 exactly; without negative partials
+    nothing is dropped).  Returns the edge blocks as (ref, rows) pairs,
+    every task finished."""
+    from ..state.parts import walk_parts
+
+    blocks = partials
     if base is not None:
-        partials = partials.union(
-            base.edges().map_batches(
-                lambda b: _encode_edges_table(b, n, struct), batch_format="pyarrow"
-            )
-        )
-    return (
-        _sum_edge_partials(partials, struct)
-        .map_batches(
-            lambda b: _decode_edges_table(
-                b.filter(pc.not_equal(b["weight"], 0.0)), n, struct
-            ),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
+        encode = functools.partial(_encode_edges_table, n=n, struct=struct)
+        blocks = itertools.chain(partials, _map_blocks(encode, walk_parts(base.edges_path)))
+    sums = _sum_edge_partials(blocks, struct)
+    del blocks
+    if isinstance(partials, list):
+        partials.clear()  # the exchange's split tasks hold them now
+    return _map_blocks(functools.partial(_decode_nonzero, n=n, struct=struct), sums)
 
 
 def _write_manifest(
@@ -687,41 +803,41 @@ def _write_manifest(
 
 
 def _write_edges_adj_manifest(
-    edges: "rd.Dataset",
+    edges: list,
     out_dir: str,
     n_vertices: int,
-    n_edges: int,
     min_token_len: int,
     edge_source: str,
+    stages: _Stages,
 ) -> "GraphTables":
-    """Shared write tail: replace edges/, expand each undirected record
-    into both directions, range-sort by src for the CSR shards'
-    row-group pruning (SimpleGraph.kt:141-147 undirected walk), write
-    adj/, dump the manifest.  ``edges`` must not read from ``out_dir``
-    (the writers hand in materialized edges)."""
-    from .shuffle import range_sort
+    """Shared write tail: replace edges/ with the (ref, rows) ``edges``,
+    expand each undirected record into both directions, range-sort by
+    src for the CSR shards' row-group pruning (SimpleGraph.kt:141-147
+    undirected walk), write adj/, dump the manifest.  ``edges`` must
+    not read from ``out_dir`` (the writers hand in finished blocks);
+    the list is emptied once the expansion tasks hold its blocks."""
+    from .shuffle import range_sort_refs
 
     for sub in ("edges", "adj"):
         shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
-    _write_table_dir(edges, os.path.join(out_dir, "edges"), "edges")
+    _write_parts(edges, os.path.join(out_dir, "edges"), "edges")
+    stages.mark("edge_write_s")
+    n_edges = sum(k for _, k in edges)
+    expanded = _map_blocks(_expand, [r for r, k in edges if k])
+    edges.clear()
+    _write_parts(range_sort_refs(expanded, "src"), os.path.join(out_dir, "adj"), "adj")
+    g = _write_manifest(out_dir, n_vertices, n_edges, min_token_len, edge_source)
+    stages.mark("adj_s")
+    g.stages = stages.split
+    return g
 
-    def expand(batch: pa.Table) -> pa.Table:
-        rev = pa.table(
-            {
-                "src": batch["dst"],
-                "dst": batch["src"],
-                "weight": batch["weight"],
-                "etype": batch["etype"],
-            }
-        )
-        return pa.concat_tables([batch, rev])
 
-    # no materialize: range_sort consumes the lazy expansion via ref
-    # bundles and holds only its own (sliced) refs — materializing
-    # first would pin a second full copy of the adjacency in plasma
-    adj = range_sort(edges.map_batches(expand, batch_format="pyarrow"), "src")
-    _write_table_dir(adj, os.path.join(out_dir, "adj"), "adj")
-    return _write_manifest(out_dir, n_vertices, n_edges, min_token_len, edge_source)
+def _chunk_rows(transcripts: "rd.Dataset", pre_chunked: bool = False) -> "rd.Dataset":
+    """The dedup exchange's input: (chunk_key, text) rows, hashed from
+    the text unless ``pre_chunked``."""
+    if pre_chunked:
+        return transcripts.select_columns(["chunk_key", "text"])
+    return transcripts.map_batches(_to_chunk_rows, batch_format="pyarrow")
 
 
 def dedup_chunks(transcripts: "rd.Dataset") -> "rd.Dataset":
@@ -729,16 +845,14 @@ def dedup_chunks(transcripts: "rd.Dataset") -> "rd.Dataset":
     dedup on the content hash (rows in a group are byte-identical since
     the key is md5(text)) — the A10 operator (embedding_store.py:63-90),
     via the custom hash-exchange distinct."""
-    from .shuffle import hash_distinct
+    from .shuffle import _cpus, hash_distinct
 
-    chunks = transcripts.map_batches(_to_chunk_rows, batch_format="pyarrow")
     # one reduce partition per CPU even when the deduped volume is
     # modest: every downstream build stage fans out per TOKEN (~16x the
     # chunk rows), so the volume-based k here (e.g. 2 at 100k deduped
-    # chunks) would serialize the vertex-row and edge-partial maps —
+    # chunks) would serialize the vertex-row and edge-partial tasks —
     # the block count, not the row count, is their parallelism
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return hash_distinct(chunks, "chunk_key", num_partitions=cpus)
+    return hash_distinct(_chunk_rows(transcripts), "chunk_key", num_partitions=_cpus())
 
 
 # ---------------------------------------------------------------------------
@@ -885,56 +999,64 @@ def build_graph(
 ) -> GraphTables:
     """Full graph build; writes vertices/, edges/, adj/ + manifest.json.
 
+    Ray Data runs the input read only: its blocks stream, as the
+    executor produces them, into the chunk dedup exchange, and every
+    later stage is plain tasks on block refs — vertex rows, the vertex
+    dictionary (distinct, sort, ids), its broadcast, edge partials, the
+    edge sum, the adjacency sort and the parquet writes.  The returned
+    ``stages`` split the call's wall by stage.
+
     ``pre_chunked=True`` means the input already has (chunk_key, text)
     columns (phase-A output of :func:`extract_chunks_resumable`); only
     the global dedup exchange runs, not the hash map."""
+    from .shuffle import _blocks, _cpus, hash_distinct_refs, range_sort_refs
+
+    stages = _Stages()
     os.makedirs(out_dir, exist_ok=True)
-    # Ray's write_parquet APPENDS into an existing directory: a rebuild
-    # into the same out_dir (the resume-after-failure path) would
-    # otherwise leave two full copies of every table behind a manifest
-    # claiming the fresh counts
+    # parts are named by block index: a rebuild into the same out_dir
+    # (the resume-after-failure path) would otherwise leave a previous
+    # run's parts past this run's count behind a manifest claiming the
+    # fresh counts
     for sub in ("vertices", "edges", "adj"):
         shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
 
-    from .shuffle import hash_distinct
-
-    if pre_chunked:
-        # per-CPU partitions for the same reason as dedup_chunks: the
-        # downstream maps' parallelism is this exchange's block count
-        chunks = hash_distinct(
-            transcripts.select_columns(["chunk_key", "text"]),
-            "chunk_key",
-            num_partitions=int(ray.cluster_resources().get("CPU", 8)),
-        ).materialize()
-    else:
-        chunks = dedup_chunks(transcripts).materialize()
-    if chunks.count() == 0:
-        for name, sch in (
-            ("vertices", _schema.VERTICES),
-            ("edges", _schema.EDGES),
-            ("adj", _schema.EDGES),
-        ):
-            d = os.path.join(out_dir, name)
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(sch.empty_table(), os.path.join(d, "part-0.parquet"))
-        return _write_manifest(out_dir, 0, 0, min_token_len, edge_source)
+    # per-CPU partitions (see dedup_chunks): the downstream tasks'
+    # parallelism is this exchange's block count
+    chunks = hash_distinct_refs(
+        _blocks(_chunk_rows(transcripts, pre_chunked)), "chunk_key", num_partitions=_cpus()
+    )
+    stages.mark("dedup_s")
+    if not any(k for _, k in chunks):
+        for name in ("vertices", "edges", "adj"):
+            _write_parts([], os.path.join(out_dir, name), name)
+        g = _write_manifest(out_dir, 0, 0, min_token_len, edge_source)
+        stages.mark("vertex_write_s")
+        g.stages = stages.split
+        return g
+    chunks = [r for r, _ in chunks]
 
     # --- vertex dictionary first (the small distinct set), so the big
     # pair shuffle runs over int64 codes, not md5 key strings ---
-    vrows = chunks.map_batches(ChunkToVertexRows(min_token_len), batch_format="pyarrow")
-    vdistinct = hash_distinct(vrows, "node_key")
-    vertices = assign_dense_ids(vdistinct, "node_key", "vid").materialize()
-    n = int(vertices.count())
-    _write_table_dir(vertices, os.path.join(out_dir, "vertices"), "vertices")
+    vertices = _with_offsets(
+        range_sort_refs(
+            hash_distinct_refs(_map_blocks(ChunkToVertexRows(min_token_len), chunks), "node_key"),
+            "node_key",
+        ),
+        "vid",
+    )
+    n = sum(k for _, k in vertices)
+    stages.mark("vertex_dict_s")
+    _write_parts(vertices, os.path.join(out_dir, "vertices"), "vertices")
+    stages.mark("vertex_write_s")
 
     struct = _use_struct_keys(n, struct_keys)
     partials = _edge_partials(
         chunks, vertices, n, min_token_len, edge_source, struct, broadcast_vertex_limit
     )
+    del chunks, vertices
     edges = _merge_edges(partials, n, struct)
-    return _write_edges_adj_manifest(
-        edges, out_dir, n, edges.count(), min_token_len, edge_source
-    )
+    stages.mark("edge_sum_s")
+    return _write_edges_adj_manifest(edges, out_dir, n, min_token_len, edge_source, stages)
 
 
 def build_graph_resumable(
@@ -1028,7 +1150,9 @@ def delete_chunks_from_graph(
     is written.  ``min_token_len`` and ``edge_source`` follow the
     manifest (:func:`graph_config`)."""
     from ..state.parts import in_keys, probe_keys
+    from .shuffle import _cpus
 
+    stages = _Stages()
     os.makedirs(out_dir, exist_ok=True)
     min_token_len, edge_source = graph_config(graph.out_dir, min_token_len, edge_source)
     n = int(graph.n_vertices)
@@ -1059,11 +1183,12 @@ def delete_chunks_from_graph(
     neg = neg.set_column(
         neg.column_names.index("weight"), "weight", pc.negate(neg["weight"])
     )
-    edges = _merge_edges(rd.from_arrow(neg), n, struct, base=graph)
-    n_edges = edges.count()
+    stages.mark("vertex_dict_s")
+    edges = _merge_edges([(ray.put(neg), neg.num_rows)], n, struct, base=graph)
+    stages.mark("edge_sum_s")
 
-    refs = edges.to_arrow_refs()
-    cpus = int(ray.cluster_resources().get("CPU", 1))
+    refs = [r for r, _ in edges]
+    cpus = _cpus()
     cand_ref, watch_ref = ray.put(cand), ray.put(np.union1d(cand, del_vids))
     scans = ray.get(
         [
@@ -1080,29 +1205,24 @@ def delete_chunks_from_graph(
             "the stored edges and the deleted chunks' partials disagree"
         )
 
-    # vertices: written beside the table, then swapped in, so an
-    # in-place delete never reads a part it already replaced
+    stages.mark("vertex_dict_s")
+
+    # vertices: each committed part read by path and shifted in a plain
+    # task, written beside the table, then swapped in, so an in-place
+    # delete never reads a part it already replaced
     vdir = os.path.join(out_dir, "vertices")
     tmp = vdir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    _write_table_dir(
-        rd.read_parquet(graph.vertex_parts).map_batches(
-            lambda b: _drop_shift(b, dead, ("vid",)), batch_format="pyarrow"
-        ),
-        tmp,
-        "vertices",
-    )
+    shift = functools.partial(_drop_shift, dead=dead, cols=("vid",))
+    _write_parts(_map_blocks(shift, graph.vertex_parts), tmp, "vertices")
     shutil.rmtree(vdir, ignore_errors=True)
     os.rename(tmp, vdir)
+    shift = functools.partial(_drop_shift, dead=dead, cols=("src", "dst"))
+    edges = _map_blocks(shift, refs)
+    del refs
+    stages.mark("vertex_write_s")
     return _write_edges_adj_manifest(
-        edges.map_batches(
-            lambda b: _drop_shift(b, dead, ("src", "dst")), batch_format="pyarrow"
-        ),
-        out_dir,
-        n - len(dead),
-        n_edges,
-        min_token_len,
-        edge_source,
+        edges, out_dir, n - len(dead), min_token_len, edge_source, stages
     )
 
 
@@ -1147,22 +1267,21 @@ def build_graph_incremental(
     """
     from ..state.parts import block_columns
 
+    t0 = time.perf_counter()
     refs = (
         new_transcripts.map_batches(_to_chunk_rows, batch_format="pyarrow")
         .map_batches(ChunkToVertexRows(min_token_len), batch_format="pyarrow")
         .materialize()
         .to_arrow_refs()
     )
-    return merge_delta(
-        refs,
-        block_columns(refs, ["node_key", "kind"]),
-        graph,
-        out_dir,
-        min_token_len,
-        edge_source,
-        broadcast_vertex_limit,
-        struct_keys,
+    keys = block_columns(refs, ["node_key", "kind"])
+    read_s = time.perf_counter() - t0
+    g = merge_delta(
+        refs, keys, graph, out_dir, min_token_len, edge_source, broadcast_vertex_limit, struct_keys
     )
+    if g.stages:  # the candidate rows are the vertex dictionary's input
+        g.stages["vertex_dict_s"] += read_s
+    return g
 
 
 @ray.remote
@@ -1232,6 +1351,7 @@ def merge_delta(
     duplicates vertex rows."""
     from ..state.parts import block_columns, first_rows, probe_keys, take_rows
 
+    stages = _Stages()
     os.makedirs(out_dir, exist_ok=True)
     graph_len, edge_source = graph_config(graph.out_dir, min_token_len, edge_source)
     if graph_len != min_token_len:
@@ -1271,10 +1391,11 @@ def merge_delta(
         "vid", pa.array(np.arange(n_old, n_old + vnew.num_rows), pa.int64())
     ).cast(_schema.VERTICES)
     n = n_old + vnew.num_rows
+    stages.mark("vertex_dict_s")
     vdir = os.path.join(out_dir, "vertices")
     if not in_place:
-        # Ray's write_parquet APPENDS: a retry into a pre-existing
-        # out_dir must not keep a previous run's vertex rows
+        # a retry into a pre-existing out_dir must not keep a previous
+        # run's vertex parts beside the copied ones
         shutil.rmtree(vdir, ignore_errors=True)
         os.makedirs(vdir)
         for p in committed:
@@ -1282,6 +1403,7 @@ def merge_delta(
             os.makedirs(os.path.dirname(dst), exist_ok=True)
             shutil.copy(p, dst)
     pq.write_table(vnew, os.path.join(vdir, f"delta-{n_old:012d}.parquet"))
+    stages.mark("vertex_write_s")
 
     # --- new chunks' partials from a delta-sized dictionary: the
     # stored hits plus the new vids ---
@@ -1297,14 +1419,12 @@ def merge_delta(
         i[pc.equal(k["kind"], "chunk").to_numpy(zero_copy_only=False)[i]]
         for k, i in zip(keys, idx)
     ]
-    chunks_new = rd.from_arrow_refs(
-        take_rows(refs, chunk_idx, {"chunk_key": "node_key", "text": "content"}, 2048)
-    )
+    chunks_new = take_rows(refs, chunk_idx, {"chunk_key": "node_key", "text": "content"}, 2048)
     struct = _use_struct_keys(n, struct_keys)
     partials = _edge_partials(
         chunks_new, vmap, n, min_token_len, edge_source, struct, broadcast_vertex_limit
     )
+    del chunks_new
     edges = _merge_edges(partials, n, struct, base=graph)
-    return _write_edges_adj_manifest(
-        edges, out_dir, n, edges.count(), min_token_len, edge_source
-    )
+    stages.mark("edge_sum_s")
+    return _write_edges_adj_manifest(edges, out_dir, n, min_token_len, edge_source, stages)

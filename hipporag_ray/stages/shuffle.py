@@ -21,6 +21,17 @@ depends on the upstream block layout.  :func:`hash_join` (k from the
 larger of two inputs) and :func:`range_sort` (a sample pass, then the
 range split) drive the same pieces themselves.
 
+The input is a stream of (block ref, row count) pairs.  The
+``*_refs`` entries (:func:`hash_distinct_refs`,
+:func:`int_key_sum_refs`, :func:`int_pair_key_sum_refs`,
+:func:`range_sort_refs`) take such pairs and return refs: the raw
+reduce outputs of the sums, (ref, rows) pairs of the nonempty outputs
+of the dedup and the sort, so one exchange feeds the next with no Ray
+Data execution between them (the graph writers chain theirs this way).
+The public ``Dataset`` functions are thin adapters: they feed
+:func:`_blocks` of their input to the same entry and wrap its output
+with ``from_arrow_refs``.
+
 Why not ``Dataset.groupby`` / ``repartition(keys=...)``: on Ray 2.49.2
 (4-CPU local session, one-core host) a native
 ``groupby("code2").sum("weight")`` over 253k int64 rows took 6.8-11.2 s
@@ -142,14 +153,21 @@ def int_pair_key_sum(
     single packed int64 — routing hashes BOTH keys, aggregation compares
     the actual tuple, so there is no capacity ceiling below n < 2^63
     per component.  Same streaming-consumption contract."""
-    cols = (k1_col, k2_col, weight_col)
-    outs = _exchange(ds, _pair_map_split, cols, _pair_reduce, cols)
+    outs = int_pair_key_sum_refs(_blocks(ds), k1_col, k2_col, weight_col)
     if not outs:
         # zero blocks: emit the typed AGGREGATE schema, not the input's
         # (consumers select (k1, k2, weight) unconditionally)
         empty = _typed_empty_agg(ds, [k1_col, k2_col], weight_col, weight_col, "sum")
         return empty if empty is not None else ds
     return rd.from_arrow_refs(outs)
+
+
+def int_pair_key_sum_refs(blocks, k1_col: str, k2_col: str, weight_col: str) -> list:
+    """The ref-list entry of :func:`int_pair_key_sum`: ``blocks`` are
+    (block ref, rows) pairs; returns the k reduce output refs (none for
+    no blocks)."""
+    cols = (k1_col, k2_col, weight_col)
+    return _exchange(blocks, _pair_map_split, cols, _pair_reduce, cols)
 
 
 @ray.remote
@@ -291,7 +309,7 @@ def _multi_key_agg(
     as a sum over per-block sizes)."""
     reduce_op = "sum" if weight_col is None else op
     outs = _exchange(
-        ds,
+        _blocks(ds),
         _multi_split,
         (list(key_cols), weight_col, out_col, op),
         _multi_reduce,
@@ -307,7 +325,7 @@ def _multi_key_agg(
     # keep ONE (typed-empty) reduce output when all are empty so the
     # aggregated schema (key_cols + out_col) survives an empty input —
     # ds.limit(0) here would leak the INPUT's schema instead
-    return rd.from_arrow_refs(_nonempty(outs) or outs[:1])
+    return rd.from_arrow_refs([r for r, _ in _nonempty(outs)] or outs[:1])
 
 
 def multi_key_sum(
@@ -544,7 +562,8 @@ def _row_counts(refs: list) -> list:
 
 
 def _nonempty(refs: list) -> list:
-    return [r for r, c in zip(refs, _row_counts(refs)) if c]
+    """(ref, rows) of the refs with rows."""
+    return [(r, c) for r, c in zip(refs, _row_counts(refs)) if c]
 
 
 def _cpus() -> int:
@@ -599,9 +618,10 @@ def _launch_buffered(buffered: list, split, args: tuple, k: int, cpus: int) -> l
     ]
 
 
-def _splits_or_buffer(ds, split, args: tuple, k: int | None):
-    """Consume a Dataset's blocks AS THE STREAMING EXECUTOR PRODUCES
-    them and launch ``split`` on each — the input is never pinned whole
+def _splits_or_buffer(blocks, split, args: tuple, k: int | None):
+    """Consume (block ref, rows) pairs AS THEY COME — from a Dataset,
+    as the streaming executor produces them — and launch ``split`` on
+    each: the input is never pinned whole
     in the object store (each block ref is dropped as soon as its split
     task holds it; what stays pinned are the column-pruned /
     pre-aggregated partitions).
@@ -618,7 +638,7 @@ def _splits_or_buffer(ds, split, args: tuple, k: int | None):
     rows)`` pairs)."""
     cpus = _cpus()
     splits, buffered, rows_seen = [], [], 0
-    for bref, rows in _blocks(ds):
+    for bref, rows in blocks:
         rows_seen += rows
         buffered.append((bref, rows))
         if k is None and rows_seen >= cpus * _PARTITION_FLOOR_ROWS:
@@ -629,12 +649,12 @@ def _splits_or_buffer(ds, split, args: tuple, k: int | None):
     return splits, k, buffered, rows_seen
 
 
-def _exchange(ds, split, split_args: tuple, reduce, reduce_args: tuple, k=None) -> list:
-    """The exchange skeleton: stream ``ds`` through ``split`` (k
-    partitions per block, k row-proportional for a small input) and
-    return the k ``reduce`` output refs — none for an input with no
-    blocks."""
-    splits, k, buffered, rows_seen = _splits_or_buffer(ds, split, split_args, k)
+def _exchange(blocks, split, split_args: tuple, reduce, reduce_args: tuple, k=None) -> list:
+    """The exchange skeleton: stream the (block ref, rows) pairs
+    ``blocks`` through ``split`` (k partitions per block, k
+    row-proportional for a small input) and return the k ``reduce``
+    output refs — none for an input with no blocks."""
+    splits, k, buffered, rows_seen = _splits_or_buffer(blocks, split, split_args, k)
     if k is None:
         cpus = _cpus()
         k = _k_for(rows_seen, cpus)
@@ -651,13 +671,20 @@ def hash_distinct(
     (measured order-of-magnitude slower for this shape).  Consumes its
     input streaming; empty output partitions are dropped by a
     row-count-only probe (no table bytes reach the driver)."""
+    out = hash_distinct_refs(_blocks(ds), key_col, num_partitions)
+    return rd.from_arrow_refs([r for r, _ in out]) if out else ds
+
+
+def hash_distinct_refs(blocks, key_col: str, num_partitions: int | None = None) -> list:
+    """The ref-list entry of :func:`hash_distinct`: ``blocks`` are
+    (block ref, rows) pairs; returns (ref, rows) of the nonempty
+    outputs — one typed-empty output when all are empty, none for no
+    blocks."""
     outs = _exchange(
-        ds, _distinct_split, (key_col,), _distinct_reduce, (key_col,), num_partitions
+        blocks, _distinct_split, (key_col,), _distinct_reduce, (key_col,), num_partitions
     )
-    if not outs:
-        return ds
     # one typed-empty reduce output preserves the input schema
-    return rd.from_arrow_refs(_nonempty(outs) or outs[:1])
+    return _nonempty(outs) or [(r, 0) for r in outs[:1]]
 
 
 @ray.remote
@@ -700,26 +727,35 @@ def range_sort(
     the hash exchanges the input refs are held; oversized blocks are
     still sliced so both passes parallelize past the upstream's block
     layout."""
+    out = range_sort_refs(_blocks(ds), key_col, num_partitions)
+    return rd.from_arrow_refs([r for r, _ in out]) if out else ds
+
+
+def range_sort_refs(blocks, key_col: str, num_partitions: int | None = None) -> list:
+    """The ref-list entry of :func:`range_sort`: ``blocks`` are (block
+    ref, rows) pairs; returns (ref, rows) of the nonempty sorted
+    outputs in key order — none when no block has rows."""
     cpus = _cpus()
     refs, rows_seen = [], 0
-    for bref, rows in _blocks(ds):
+    for bref, rows in blocks:
         rows_seen += rows
         refs += _sliced(bref, rows, cpus)
     if not refs:
-        return ds
+        return []
     k = _k_for(rows_seen, cpus) if num_partitions is None else num_partitions
     samples = np.concatenate(
         ray.get([_sample_keys.remote(r, key_col, 97) for r in refs])
     )
     if len(samples) == 0:
-        return ds
+        return []
     samples = np.sort(samples, kind="stable")
     cuts = samples[(np.arange(1, k) * len(samples)) // k]
     splits = [_launch(_range_split, k, r, key_col, cuts) for r in refs]
+    del refs
     # duplicate cuts under key skew guarantee empty partitions whose
     # zero-column sentinel would break downstream schema unification
     # (assign_dense_ids emits id-only blocks for them) — drop them
-    return rd.from_arrow_refs(_nonempty(_reducers(_range_reduce, (key_col,), splits, k)))
+    return _nonempty(_reducers(_range_reduce, (key_col,), splits, k))
 
 
 @ray.remote
@@ -807,12 +843,12 @@ def hash_join(
     of a small side's buffered blocks."""
     cpus = _cpus()
     args = (key_col,)
-    ls, l_k, l_buf, l_rows = _splits_or_buffer(left, _plain_split, args, num_partitions)
+    ls, l_k, l_buf, l_rows = _splits_or_buffer(_blocks(left), _plain_split, args, num_partitions)
     if not ls and not l_buf:
         # degenerate fully-empty left: FULL OUTER degrades to the right
         # side (no left schema exists to project NULL columns from)
         return right if how == "outer" else left
-    rs, r_k, r_buf, r_rows = _splits_or_buffer(right, _plain_split, args, l_k)
+    rs, r_k, r_buf, r_rows = _splits_or_buffer(_blocks(right), _plain_split, args, l_k)
     if l_k is not None:
         k = l_k
     elif r_k is not None:  # left small, right big: right's k (== cpus)
@@ -865,7 +901,7 @@ def grouped_pairs(
     ``include_group`` adds the group value as column ``g``.  Streaming
     input consumption."""
     outs = _exchange(
-        ds,
+        _blocks(ds),
         _plain_split,
         (group_col,),
         _grouped_pairs_reduce,
@@ -890,7 +926,7 @@ def hash_partition(
     ``map_batches(..., batch_size=None)`` run key-complete vectorized
     kernels (sessionization, as-of joins) without per-group Python
     dispatch.  Streaming input consumption."""
-    outs = _exchange(ds, _plain_split, (key_col,), _concat_reduce, (), num_partitions)
+    outs = _exchange(_blocks(ds), _plain_split, (key_col,), _concat_reduce, (), num_partitions)
     return rd.from_arrow_refs(outs) if outs else ds
 
 
@@ -900,11 +936,18 @@ def int_key_sum(ds: "rd.Dataset", key_col: str, weight_col: str) -> "rd.Dataset"
     streaming: map-side pre-aggregation launches per block as the
     upstream produces it, so the raw partial table is never pinned
     whole in the object store — only the combined shards are."""
-    cols = (key_col, weight_col)
-    outs = _exchange(ds, _map_split, cols, _reduce, cols)
+    outs = int_key_sum_refs(_blocks(ds), key_col, weight_col)
     if not outs:
         # zero blocks: emit the typed AGGREGATE schema, not the input's
         # (consumers select (key, weight) unconditionally)
         empty = _typed_empty_agg(ds, [key_col], weight_col, weight_col, "sum")
         return empty if empty is not None else ds
     return rd.from_arrow_refs(outs)
+
+
+def int_key_sum_refs(blocks, key_col: str, weight_col: str) -> list:
+    """The ref-list entry of :func:`int_key_sum`: ``blocks`` are (block
+    ref, rows) pairs; returns the k reduce output refs (none for no
+    blocks)."""
+    cols = (key_col, weight_col)
+    return _exchange(blocks, _map_split, cols, _reduce, cols)

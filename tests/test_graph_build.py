@@ -368,3 +368,129 @@ def test_triples_window_exchange_matches_across_partition_counts(ray_session, tm
     pd.testing.assert_frame_equal(v1, v4)
     pd.testing.assert_frame_equal(e1, e4)
     assert (e1["etype"] == "fact").any()
+
+
+def _count_executions(monkeypatch) -> list:
+    """Count Ray Data executions from here on (one entry per
+    ``StreamingExecutor.execute``)."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *a, **k):
+        calls.append(1)
+        return execute(self, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return calls
+
+
+def test_build_runs_one_ray_data_execution(ray_session, tmp_path, monkeypatch):
+    """A build over a multi-file parquet read runs exactly one Ray Data
+    execution (the read feeding the chunk dedup exchange; every later
+    stage is plain tasks on block refs), and its graph is the
+    brute-force one."""
+    from hipporag_ray.synth import write_transcripts
+
+    tx = write_transcripts(str(tmp_path / "tx"), n_convs=30, turns_per_conv=8, vocab=80, seed=3, shards=3)
+    calls = _count_executions(monkeypatch)
+    g = build_graph(rd.read_parquet(tx), str(tmp_path / "g"))
+    assert len(calls) == 1, f"{len(calls)} Ray Data executions"
+    monkeypatch.undo()
+
+    chunks, fact, passage, vkeys = brute_force_graph(tx)
+    v = g.vertices().to_pandas()
+    assert dict(zip(v["node_key"], v["kind"])) == vkeys
+    assert g.n_vertices == len(vkeys)
+    assert g.n_edges == len(fact) + len(passage)
+
+
+def test_writer_stages_sum_to_wall(ray_session, tmp_path):
+    """A full build, an incremental add and a delete each split their
+    wall into stages that sum to the call's wall within 5%."""
+    import time
+
+    import pyarrow as pa
+
+    from hipporag_ray.stages.graph_build import build_graph_incremental, delete_chunks_from_graph
+
+    words = [f"word{i}" for i in range(50)]
+    rng = np.random.default_rng(11)
+    texts = [" ".join(rng.choice(words, 6)) for _ in range(300)]
+    out = str(tmp_path / "g")
+    writes = {"vertex_dict_s", "vertex_write_s", "edge_sum_s", "edge_write_s", "adj_s"}
+
+    def check(g, t0, want):
+        wall = time.perf_counter() - t0
+        assert set(g.stages) == want
+        assert min(g.stages.values()) >= 0
+        assert abs(sum(g.stages.values()) - wall) <= 0.05 * wall, (g.stages, wall)
+        assert g == load_graph(out)  # the split is no part of the graph's identity
+
+    base, delta = (rd.from_arrow(pa.table({"text": t})) for t in (texts[:200], texts[200:]))
+    t0 = time.perf_counter()
+    g = build_graph(base, out)
+    check(g, t0, writes | {"dedup_s"})
+    t0 = time.perf_counter()
+    g = build_graph_incremental(delta, g, out)
+    check(g, t0, writes)
+    t0 = time.perf_counter()
+    g = delete_chunks_from_graph(texts[:20], g, out)
+    check(g, t0, writes)
+
+
+def test_adjacency_layout_is_sorted_row_groups(ray_session, tmp_path):
+    """adj/ parts read in name order are globally src-sorted, and every
+    row group of edges/ and adj/ holds at most 32,768 rows with src
+    min/max statistics (the CSR shard bounds and hub detection read
+    them); a graph big enough for several parts and row groups."""
+    import os
+
+    from hipporag_ray.synth import write_transcripts
+
+    tx = write_transcripts(
+        str(tmp_path / "tx"), n_convs=250, turns_per_conv=10, vocab=3000,
+        entities_per_turn=12, seed=5,
+    )
+    g = build_graph(rd.read_parquet(tx), str(tmp_path / "g"))
+    groups = 0
+    for d in (g.edges_path, g.adj_path):
+        parts = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+        src = []
+        for f in parts:
+            pf = pq.ParquetFile(os.path.join(d, f))
+            md = pf.metadata
+            col = pf.schema_arrow.get_field_index("src")
+            for i in range(md.num_row_groups):
+                rg = md.row_group(i)
+                assert rg.num_rows <= 32_768
+                st = rg.column(col).statistics
+                assert st is not None and st.has_min_max
+                groups += 1
+            src.append(pf.read(columns=["src"])["src"].to_numpy())
+        if d == g.adj_path:
+            assert len(parts) > 1
+            src = np.concatenate(src)
+            assert len(src) == 2 * g.n_edges
+            assert (np.diff(src) >= 0).all()
+    assert groups > 4
+
+
+def test_zero_edge_build_leaves_typed_empty_tables(ray_session, tmp_path):
+    """Chunks whose tokens are all shorter than min_token_len give
+    vertices but no edges: build_graph still leaves loadable
+    typed-empty edges/ and adj/."""
+    import pyarrow as pa
+
+    from hipporag_ray import schema
+
+    g = build_graph(rd.from_arrow(pa.table({"text": ["a b c", "xy z", "a b c"]})), str(tmp_path / "g"))
+    assert (g.n_vertices, g.n_edges) == (2, 0)
+    assert g.vertices().count() == 2
+    for path in (g.edges_path, g.adj_path):
+        t = pq.read_table(path)
+        assert t.num_rows == 0
+        assert t.schema.equals(schema.EDGES, check_metadata=False)
+    assert g.edges().count() == 0 and g.adj().count() == 0
+    assert load_graph(g.out_dir) == g

@@ -445,6 +445,47 @@ def test_incremental_index_runs_few_ray_data_executions(ray_session, tmp_path, m
         eng.close()
 
 
+def test_incremental_graph_merge_runs_no_ray_data_execution(ray_session, tmp_path, monkeypatch):
+    """The graph merge of a 200-turn incremental index() onto a
+    1,000-turn base runs no Ray Data execution (its stages are plain
+    tasks on block refs, the stored edges read by path), so the whole
+    write runs at most 4 (9 when the merge's edge sum, decode and
+    writes each ran one)."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from hipporag_ray.pipelines.retrieval import HippoRagEngine
+    from hipporag_ray.stages import graph_build
+
+    tbl = _engine_turns(
+        tmp_path, n_convs=120, turns_per_conv=10, vocab=2000,
+        entities_per_turn=8, zipf_a=1.3, seed=7,
+    )
+    calls, in_merge = [], []
+    execute, merge = StreamingExecutor.execute, graph_build.merge_delta
+
+    def counted(self, *a, **k):
+        calls.append(1)
+        return execute(self, *a, **k)
+
+    def merge_counted(*a, **k):
+        before = len(calls)
+        g = merge(*a, **k)
+        in_merge.append(len(calls) - before)
+        return g
+
+    eng = HippoRagEngine(str(tmp_path / "wd"))
+    try:
+        eng.index(rd.from_arrow(tbl.slice(0, 1000)))
+        monkeypatch.setattr(StreamingExecutor, "execute", counted)
+        monkeypatch.setattr(graph_build, "merge_delta", merge_counted)
+        stats = eng.index(rd.from_arrow(tbl.slice(1000, 200)))
+        assert stats["new_chunks"] > 150
+        assert in_merge == [0], f"the merge ran {in_merge} Ray Data executions"
+        assert len(calls) <= 4, f"{len(calls)} Ray Data executions"
+    finally:
+        eng.close()
+
+
 def test_engine_delete_runs_few_ray_data_executions(ray_session, tmp_path, monkeypatch):
     """A 50-turn engine delete() from a 1,000-turn engine runs at most 6
     Ray Data executions, all of them the graph delete's: the stale
