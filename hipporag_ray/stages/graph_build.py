@@ -936,8 +936,6 @@ def extract_chunks_resumable(
     :func:`build_graph` with ``pre_chunked=True`` via
     ``rd.read_parquet(chunks_dir)``.
     """
-    import pyarrow.dataset as pads
-
     os.makedirs(chunks_dir, exist_ok=True)
     files = sorted(pads.dataset(tx_path).files)
     if not files:
