@@ -37,7 +37,8 @@ keys on the driver, which for a full build would be the whole corpus.
 
 Ray Data runs a writer's input read only.  After it, every stage is a
 plain Ray task on block refs, handed from one to the next as (ref,
-rows) pairs (:func:`_map_blocks`, the ``*_refs`` exchanges of
+rows) pairs (:func:`_map_blocks`, or :func:`_map_stream` in completion
+order into an exchange, the ``*_refs`` exchanges of
 stages/shuffle.py, :func:`_write_parts`); a merge or delete reads the
 stored parts by path.  The writers return their wall split by stage
 (``GraphTables.stages``).  Parts keep the layout Ray Data's parquet
@@ -515,10 +516,27 @@ def _map_block(fn, block):
 
 def _map_blocks(fn, blocks: list) -> list:
     """One plain task of ``fn`` per block (a ref or a part path): the
-    outputs as (ref, rows) pairs, the counts fetched in one get."""
+    outputs as (ref, rows) pairs in block order, the counts fetched in
+    one get."""
     outs = [_map_block.remote(fn, b) for b in blocks]
     rows = ray.get([n for _, n in outs])
     return [(t, n) for (t, _), n in zip(outs, rows)]
+
+
+def _map_stream(fn, blocks: list):
+    """:func:`_map_blocks` for an exchange, which takes its input in any
+    order: the tasks launch now, and the outputs are yielded as (ref,
+    rows) pairs as each one finishes, so the exchange splits a block as
+    soon as it exists and the driver drops its ref once the split holds
+    it."""
+    pending = {n: t for t, n in (_map_block.remote(fn, b) for b in blocks)}
+
+    def done():
+        while pending:
+            [n], _ = ray.wait(list(pending))
+            yield pending.pop(n), ray.get(n)
+
+    return done()
 
 
 class _Batched:
@@ -727,7 +745,7 @@ def _edge_partials(
     broadcast_vertex_limit: int,
 ):
     """Edge partial rows of the chunk block refs ``chunks`` in the
-    aggregation key layout, as (ref, rows) pairs.  ``vertices`` maps
+    aggregation key layout, as a stream of (ref, rows) pairs.  ``vertices`` maps
     their keys to vids: a (node_key, vid) table on the driver or (ref,
     rows) pairs of vertex blocks with those columns.  It is broadcast
     once (``ray.put`` of the table, or one task over the blocks) while
@@ -757,7 +775,7 @@ def _edge_partials(
     # at 32 CPUs); tasks fetch the broadcast vmap from plasma, which is
     # vertex-table-sized and cheap
     fn = ChunkToIntEdgePartials(vmap_ref, n, min_token_len, edge_source, struct)
-    return _map_blocks(_Batched(fn, 2048), chunks)
+    return _map_stream(_Batched(fn, 2048), chunks)
 
 
 def _merge_edges(partials, n: int, struct: bool, base: "GraphTables | None" = None) -> list:
@@ -776,7 +794,7 @@ def _merge_edges(partials, n: int, struct: bool, base: "GraphTables | None" = No
     blocks = partials
     if base is not None:
         encode = functools.partial(_encode_edges_table, n=n, struct=struct)
-        blocks = itertools.chain(partials, _map_blocks(encode, walk_parts(base.edges_path)))
+        blocks = itertools.chain(partials, _map_stream(encode, walk_parts(base.edges_path)))
     sums = _sum_edge_partials(blocks, struct)
     del blocks
     if isinstance(partials, list):
@@ -847,11 +865,6 @@ def dedup_chunks(transcripts: "rd.Dataset") -> "rd.Dataset":
     via the custom hash-exchange distinct."""
     from .shuffle import _cpus, hash_distinct
 
-    # one reduce partition per CPU even when the deduped volume is
-    # modest: every downstream build stage fans out per TOKEN (~16x the
-    # chunk rows), so the volume-based k here (e.g. 2 at 100k deduped
-    # chunks) would serialize the vertex-row and edge-partial tasks —
-    # the block count, not the row count, is their parallelism
     return hash_distinct(_chunk_rows(transcripts), "chunk_key", num_partitions=_cpus())
 
 
@@ -1018,8 +1031,11 @@ def build_graph(
     for sub in ("vertices", "edges", "adj"):
         shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
 
-    # per-CPU partitions (see dedup_chunks): the downstream tasks'
-    # parallelism is this exchange's block count
+    # one reduce partition per CPU even when the deduped volume is
+    # modest: every downstream build stage fans out per TOKEN (~16x the
+    # chunk rows), so the volume-based k here (e.g. 2 at 100k deduped
+    # chunks) would serialize the vertex-row and edge-partial tasks —
+    # the block count, not the row count, is their parallelism
     chunks = hash_distinct_refs(
         _blocks(_chunk_rows(transcripts, pre_chunked)), "chunk_key", num_partitions=_cpus()
     )
@@ -1037,7 +1053,7 @@ def build_graph(
     # pair shuffle runs over int64 codes, not md5 key strings ---
     vertices = _with_offsets(
         range_sort_refs(
-            hash_distinct_refs(_map_blocks(ChunkToVertexRows(min_token_len), chunks), "node_key"),
+            hash_distinct_refs(_map_stream(ChunkToVertexRows(min_token_len), chunks), "node_key"),
             "node_key",
         ),
         "vid",
